@@ -39,27 +39,20 @@ from .montecarlo import (
     sample_coeffs,
 )
 from .orthopoly import (
-    KernelTriple,
-    PolyValues,
     RecurrenceTable,
     build_recurrence,
-    eval_poly,
     get_table,
-    kernel_triple,
     kernel_triple_many,
     load_table,
+    poly_matrix,
     save_table,
     universality_ratios,
 )
 from .scaling import (
     DensityCurve,
     ScalingInfo,
-    contract,
-    equilibrium_density,
     equilibrium_density_many,
-    expand,
     freud_constants,
-    normalized_density,
     normalized_density_many,
     sigma_curve,
     sigma_star_curve,

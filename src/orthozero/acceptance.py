@@ -33,10 +33,6 @@ class CriterionResult:
         return f"{tag} criterion {self.num}: {self.name} | {self.detail}"
 
 
-def _hermite():
-    return weights.parse_weight("freud:0.5:2")
-
-
 def _table(key: str, n_max: int):
     spec = weights.parse_weight(key)
     return spec, orthopoly.get_table(spec, n_max)

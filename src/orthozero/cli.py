@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,45 +32,9 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Canonical view of one invocation (subcommand plus its parameters)."""
-
-    subcommand: str
-    params: tuple[tuple[str, str], ...]
-
-    def canonical(self) -> str:
-        lines = [f"subcommand={self.subcommand}"]
-        lines += [f"{k}={v}" for k, v in sorted(self.params)]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_namespace(ns: argparse.Namespace) -> "ExperimentConfig":
-        skip = {"subcommand", "config", "output", "func"}
-        params = tuple(sorted(
-            (k, str(v)) for k, v in vars(ns).items()
-            if k not in skip and v is not None))
-        return ExperimentConfig(subcommand=ns.subcommand, params=params)
-
-    @staticmethod
-    def parse_canonical(text: str) -> "ExperimentConfig":
-        sub = ""
-        params = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line {line!r}, expected key=value")
-            k, v = line.split("=", 1)
-            if k.strip() == "subcommand":
-                sub = v.strip()
-            else:
-                params.append((k.strip(), v.strip()))
-        return ExperimentConfig(subcommand=sub, params=tuple(sorted(params)))
-
-
 def read_config(path: str) -> dict[str, str]:
+    """key=value lines, skipping blanks and # comments.  Dashes in keys
+    become underscores, so flag spellings and parameter names agree."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -124,8 +87,8 @@ def cmd_recurrence(ns) -> int:
     lead = table.leading
     rows = ["k,a_k,b_k,gamma_k", f"0,{fmt(0.0)},,{fmt(lead[0])}"]
     for k in range(1, ns.n_max + 1):
-        a_k = table.diag[k] if k < ns.n_max else 0.0
-        rows.append(f"{k},{fmt(a_k)},{fmt(table.off_diag[k - 1])},{fmt(lead[k])}")
+        # even weights only, so every a_k is zero
+        rows.append(f"{k},{fmt(0.0)},{fmt(table.off_diag[k - 1])},{fmt(lead[k])}")
     rows.append(f"# ortho_residual={fmt(table.ortho_residual)}")
     _write(ns.output, "\n".join(rows) + "\n")
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .orthopoly import KernelTriple, RecurrenceTable, kernel_triple_many
+from .orthopoly import RecurrenceTable, kernel_triple_many
 from .quadrature import adaptive_gl
 from .scaling import ScalingInfo, solve_mrs
 from .weights import WeightSpec
@@ -47,15 +47,12 @@ class ZeroDensityProfile:
     tail_estimate: float = 0.0
 
 
-def kac_density(triple: KernelTriple) -> float:
-    """(1/pi) sqrt(max(AC - B^2, 0)) / A from kernel mantissas.
+def kac_density(A, B, C) -> np.ndarray:
+    """(1/pi) sqrt(max(AC - B^2, 0)) / A from kernel-sum mantissas.
 
-    The shared exponent cancels: AC - B^2 carries twice the scale of A and
-    the square root restores the balance, so only mantissas enter."""
-    disc = triple.a_val * triple.c_val - triple.b_val * triple.b_val
-    if disc <= 0.0:
-        return 0.0
-    return math.sqrt(disc) / (math.pi * triple.a_val)
+    The per-point exponent cancels: AC - B^2 carries twice the scale of A
+    and the square root restores the balance, so only mantissas enter."""
+    return np.sqrt(np.maximum(A * C - B * B, 0.0)) / (np.pi * A)
 
 
 class _ClampStats:
@@ -80,7 +77,7 @@ def _density_batch(table: RecurrenceTable, n: int, stats: _ClampStats):
             stats.clamped += int(np.sum(neg))
             ratios = disc[neg] / (A[neg] * C[neg])
             stats.worst = min(stats.worst, float(np.min(ratios)))
-        return np.sqrt(np.maximum(disc, 0.0)) / (np.pi * A)
+        return kac_density(A, B, C)
     return f
 
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSampleError, DomainError
-from .orthopoly import RecurrenceTable, _SCALE, _TRIG
+from .orthopoly import RecurrenceTable, _SCALE, _sweep, poly_matrix
 from .scaling import (
     ScalingInfo,
     equilibrium_density_many,
+    solve_mrs,
     ullman_cdf_many,
 )
 from .weights import WeightSpec
@@ -40,11 +41,6 @@ class CoeffDist:
             raise DomainError(f"unknown coefficient law {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:
             raise DomainError("gaussian sigma must be positive")
-
-    def label(self) -> str:
-        if self.kind == "gaussian":
-            return f"gaussian:{self.sigma:g}"
-        return self.kind
 
 
 def parse_dist(text: str) -> CoeffDist:
@@ -158,47 +154,6 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
     return np.concatenate([-tail[::-1], inner, tail])
 
 
-def poly_matrix(table: RecurrenceTable, x: np.ndarray, n: int,
-                derivs: bool = False):
-    """Mantissas of p_0..p_n (and optionally p_0'..p_n') at every grid
-    point, one shared power-of-two scale per point.  Signs of any
-    coefficient combination C @ P match the true polynomial's signs, which
-    is all the counting stage needs."""
-    x = np.asarray(x, dtype=float)
-    m = x.size
-    P = np.empty((n + 1, m))
-    P[0] = table.gamma0
-    D = np.zeros((n + 1, m)) if derivs else None
-    p_prev = np.zeros(m)
-    p_cur = np.full(m, table.gamma0)
-    d_prev = np.zeros(m)
-    d_cur = np.zeros(m)
-    off = table.off_diag
-    for k in range(1, n + 1):
-        bk = off[k - 1]
-        bkm = off[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bkm * p_prev) / bk
-        d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
-        big = np.abs(p_next) > _TRIG
-        if derivs:
-            big |= np.abs(d_next) > _TRIG
-        if np.any(big):
-            f = 1.0 / _SCALE
-            p_next[big] *= f
-            p_cur[big] *= f
-            d_next[big] *= f
-            d_cur[big] *= f
-            P[:k, big] *= f
-            if derivs:
-                D[:k, big] *= f
-        P[k] = p_next
-        if derivs:
-            D[k] = d_next
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return (P, D) if derivs else P
-
-
 _SUBDIV_DEPTH = 3
 _SUBDIV_FAN = 6
 
@@ -208,38 +163,23 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
     """Accumulate sum_j Ct[j, i] p_j(x[i]) (and optionally the derivative
     combination) point by point without storing the polynomial matrix;
     mantissa output under a per-point power-of-two scale."""
-    m = x.size
-    p_prev = np.zeros(m)
-    p_cur = np.full(m, table.gamma0)
-    d_prev = np.zeros(m)
-    d_cur = np.zeros(m)
-    S = Ct[0] * p_cur
-    Sd = np.zeros(m)
-    off = table.off_diag
-    for k in range(1, n + 1):
-        bk = off[k - 1]
-        bkm = off[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bkm * p_prev) / bk
-        if derivs:
-            d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
-            big = (np.abs(p_next) > _TRIG) | (np.abs(d_next) > _TRIG)
-        else:
-            big = np.abs(p_next) > _TRIG
-        if np.any(big):
-            f = 1.0 / _SCALE
-            p_next[big] *= f
-            p_cur[big] *= f
-            S[big] *= f
+    S = np.zeros(x.size)
+    Sd = np.zeros(x.size) if derivs else None
+    for k, (p, d, big, _) in enumerate(_sweep(table, x, n, derivs)):
+        if big is not None:
+            S[big] /= _SCALE
             if derivs:
-                d_next[big] *= f
-                d_cur[big] *= f
-                Sd[big] *= f
-        S += Ct[k] * p_next
-        p_prev, p_cur = p_cur, p_next
+                Sd[big] /= _SCALE
+        S += Ct[k] * p
         if derivs:
-            Sd += Ct[k] * d_next
-            d_prev, d_cur = d_cur, d_next
-    return S, (Sd if derivs else None)
+            Sd += Ct[k] * d
+    return S, Sd
+
+
+def _grid_complete(grid: np.ndarray, info: ScalingInfo,
+                   cfg: CountConfig) -> bool:
+    """False when a budget-truncated grid stops short of pad * a_n."""
+    return bool(grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n)
 
 
 def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
@@ -254,7 +194,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     Returns (counts, list of sorted zero arrays per row).
     """
     T = C.shape[0]
-    P, D = poly_matrix(table, grid, n, derivs=True)
+    P, D, _ = poly_matrix(table, grid, n, derivs=True)
     S = np.sign(C @ P)
     Sd = np.sign(C @ D)
     pf = (S[:, :-1] * S[:, 1:]) < 0
@@ -329,17 +269,14 @@ def count_real_zeros(table: RecurrenceTable, sample: CoefficientSample,
     trials; otherwise `spec` is required to build one.
     """
     n = len(sample.coeffs) - 1
-    if n > table.n_max:
-        raise DomainError(f"degree {n} exceeds table n_max {table.n_max}")
     if grid is None:
         if spec is None:
             raise DomainError("need either a grid or a spec to build one")
         grid = make_count_grid(spec, info, table, cfg)
     counts, zeros = _count_and_locate(table, sample.coeffs[None, :], grid, n,
                                       cfg.bisect_rel * info.a_n, cfg.refine)
-    # a budget-truncated grid stops short of the contracted window
-    complete = grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n
-    return CountResult(count=int(counts[0]), zeros=zeros[0], complete=complete,
+    return CountResult(count=int(counts[0]), zeros=zeros[0],
+                       complete=_grid_complete(grid, info, cfg),
                        grid_size=grid.size)
 
 
@@ -395,8 +332,7 @@ def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
                             complex_count=n_complex, imag_tol=imag_tol)
 
 
-def ks_to_ullman(measure: EmpiricalMeasure, alpha: float,
-                 tol: float = 1e-8) -> float:
+def ks_to_ullman(measure: EmpiricalMeasure, alpha: float) -> float:
     """sup_x |F_emp(x) - F_limit(x)|, exact over the step function's jumps."""
     if not (alpha > 1 or math.isinf(alpha)):
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
@@ -413,12 +349,16 @@ def ks_to_ullman(measure: EmpiricalMeasure, alpha: float,
 
 @dataclass(frozen=True)
 class McResult:
+    """Ensemble statistics; `complete` is False when the counting grid was
+    cut short by its budget, so counts may be low."""
+
     mean: float
     stderr: float
     counts: np.ndarray
     trials: int
     partition: tuple[float, ...] | None = None
     partition_fractions: np.ndarray | None = None
+    complete: bool = True
 
 
 def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
@@ -431,8 +371,6 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     partition of [-1, 1] (estimates of E[N*(E)]/n)."""
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
-    from .scaling import solve_mrs
-
     if info is None:
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table, cfg)
@@ -469,4 +407,5 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials,
                     partition=tuple(partition) if partition is not None else None,
                     partition_fractions=(frac.mean(axis=0) if frac is not None
-                                         else None))
+                                         else None),
+                    complete=_grid_complete(grid, info, cfg))

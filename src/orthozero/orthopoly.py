@@ -1,14 +1,16 @@
 """Orthonormal polynomials for W^2 = exp(-2Q): recurrence coefficients by a
-discretized Stieltjes procedure, overflow-safe evaluation, and the diagonal
-reproducing-kernel sums that feed the zero-density formula.
+discretized Stieltjes procedure, one overflow-safe vectorised recurrence
+sweep, and the reductions over it: the diagonal reproducing-kernel sums
+that feed the zero-density formula, the basis matrix used for zero
+counting, and the Gram audit of a freshly built table.
 
 The three-term recurrence in orthonormal form is
 
     b_{k+1} p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x),
 
 with p_0 = gamma_0 = 1/sqrt(m_0) and leading coefficients
-gamma_k = gamma_0 / prod_{j<=k} b_j.  For even weights every a_k vanishes
-and is stored as an exact zero.
+gamma_k = gamma_0 / prod_{j<=k} b_j.  Only even weights are supported, so
+every a_k vanishes and none is stored.
 
 The Stieltjes iteration runs in extended precision: the discretized measure
 exp(-2Q) underflows double precision well inside the support needed once
@@ -20,6 +22,7 @@ gamma_k itself underflows for large k.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -36,15 +39,14 @@ _TRIG = 2.0**250
 _SCALE = 2.0**256
 _SCALE_LOG2 = 256
 
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Recurrence data for one weight.
 
-    off_diag[k-1] holds b_k (k = 1..n_max); diag[k] holds a_k
-    (k = 0..n_max-1), identically zero for even weights.  log_leading holds
+    off_diag[k-1] holds b_k (k = 1..n_max).  log_leading holds
     ln(gamma_k); the linear `leading` view underflows to zero where
     double precision cannot represent gamma_k.  ortho_residual is the
     largest Gram defect max |<p_i, p_j> - delta_ij| over
@@ -55,10 +57,7 @@ class RecurrenceTable:
     label: str
     n_max: int
     off_diag: np.ndarray
-    diag: np.ndarray
     log_leading: np.ndarray
-    quad_nodes: np.ndarray
-    quad_weights: np.ndarray
     ortho_residual: float
     pad: float
     mesh_signature: str
@@ -73,7 +72,9 @@ class RecurrenceTable:
             return np.exp(self.log_leading)
 
     def b(self, k: int) -> float:
-        """b_k for k >= 1."""
+        """b_k for 1 <= k <= n_max."""
+        if not 1 <= k <= self.n_max:
+            raise DomainError(f"b_{k} is outside the table (n_max {self.n_max})")
         return float(self.off_diag[k - 1])
 
 
@@ -135,36 +136,22 @@ def _stieltjes(nodes, w2w, n_max: int):
     return b[1:], 1.0 / np.sqrt(m0)
 
 
-def _gram_residual(spec: WeightSpec, off_diag, gamma0: float, R: float,
-                   n_max: int, n_target: int) -> float:
+def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
+                   n_target: int) -> float:
     """Largest Gram defect over i, j <= min(n_max, 256) on an independent
     mesh (different order, grading and panel count)."""
-    n_check = min(n_max, 256)
+    n_check = min(table.n_max, 256)
     nodes, wts = _mesh(R, int(1.37 * n_target) | 1, order=31,
                        grade_ratio=0.4, grade_levels=24)
     x = nodes.astype(float)
     lw = wts.astype(float)
-    # weighted values p_j(x) W(x) via mantissa/exponent recurrence
-    m = x.size
-    p_prev = np.zeros(m)
-    p_cur = np.full(m, gamma0)
-    expo = np.zeros(m)
-    T = np.empty((n_check + 1, m))
+    T = np.empty((n_check + 1, x.size))
+    for k, (p, _, big, expo) in enumerate(_sweep(table, x, n_check,
+                                                 derivs=False)):
+        if big is not None:
+            T[:k, big] /= _SCALE
+        T[k] = p
     qx = np.asarray(spec.q(x), dtype=float)
-    T[0] = p_cur
-    for k in range(1, n_check + 1):
-        bk = off_diag[k - 1]
-        bkm = off_diag[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bkm * p_prev) / bk
-        big = np.abs(p_next) > _TRIG
-        if np.any(big):
-            f = 1.0 / _SCALE
-            p_next[big] *= f
-            p_cur[big] *= f
-            T[: k + 1, big] *= f
-            expo[big] += _SCALE_LOG2
-        T[k] = p_next
-        p_prev, p_cur = p_cur, p_next
     scale = np.exp(expo * math.log(2.0) - qx)  # p_j W = mantissa * scale
     Tw = T * (scale * np.sqrt(np.maximum(lw, 0.0)))[None, :]
     G = Tw @ Tw.T
@@ -206,181 +193,167 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
             f"recurrence coefficients did not stabilize within {max_nodes} nodes")
 
     off = off_ld.astype(float)
-    gamma0 = float(gamma0_ld)
-    log_leading = np.concatenate([[math.log(gamma0)],
-                                  math.log(gamma0) - np.cumsum(
+    log_gamma0 = math.log(float(gamma0_ld))
+    log_leading = np.concatenate([[log_gamma0],
+                                  log_gamma0 - np.cumsum(
                                       np.log(off_ld)).astype(float)])
 
-    residual = _gram_residual(spec, off, gamma0, R, n_max, n_target)
+    table = RecurrenceTable(
+        label=spec.label, n_max=n_max, off_diag=off, log_leading=log_leading,
+        ortho_residual=math.nan, pad=pad,
+        mesh_signature=f"gl24x{n_target};r0.5x30;R={R:.12g}")
+    residual = _gram_residual(spec, table, R, n_target)
     if residual > 1e-8:
         raise DiscretizationError(
             f"orthogonality residual {residual:.3e} exceeds 1e-8; "
             "discretization too coarse")
-
-    build_w = wts.astype(float)  # rule weights; the measure is exp(-2Q) on the nodes
-    sig = f"gl24x{n_target};r0.5x30;R={R:.12g}"
-    return RecurrenceTable(
-        label=spec.label, n_max=n_max, off_diag=off,
-        diag=np.zeros(n_max), log_leading=log_leading,
-        quad_nodes=nodes.astype(float), quad_weights=build_w,
-        ortho_residual=residual, pad=pad, mesh_signature=sig)
+    return dataclasses.replace(table, ortho_residual=residual)
 
 
 _TABLE_CACHE: dict[tuple, RecurrenceTable] = {}
 
 
 def get_table(spec: WeightSpec, n_max: int, pad: float = 1.5) -> RecurrenceTable:
-    """Cached build_recurrence keyed by (label, n_max, pad).  A cached table
-    with larger n_max serves smaller requests unchanged."""
-    for (lbl, nm, pd), tab in _TABLE_CACHE.items():
-        if lbl == spec.label and pd == pad and nm >= n_max:
+    """Cached build_recurrence keyed by content (the spec's fingerprint, or
+    else its Q callable; never the free-text label), n_max and pad.  A
+    cached table with larger n_max serves smaller requests unchanged."""
+    content = spec.q if spec.fingerprint is None else spec.fingerprint
+    for (key, nm, pd), tab in _TABLE_CACHE.items():
+        if key == content and pd == pad and nm >= n_max:
             return tab
     tab = build_recurrence(spec, n_max, pad=pad)
-    _TABLE_CACHE[(spec.label, n_max, pad)] = tab
+    _TABLE_CACHE[(content, n_max, pad)] = tab
     return tab
 
 
 def save_table(table: RecurrenceTable, path) -> None:
     np.savez_compressed(
         path, format_version=TABLE_FORMAT_VERSION, label=table.label,
-        n_max=table.n_max, off_diag=table.off_diag, diag=table.diag,
-        log_leading=table.log_leading, quad_nodes=table.quad_nodes,
-        quad_weights=table.quad_weights, ortho_residual=table.ortho_residual,
+        n_max=table.n_max, off_diag=table.off_diag,
+        log_leading=table.log_leading, ortho_residual=table.ortho_residual,
         pad=table.pad, mesh_signature=table.mesh_signature)
 
 
 def load_table(path) -> RecurrenceTable:
     with np.load(path, allow_pickle=False) as z:
-        if int(z["format_version"]) != TABLE_FORMAT_VERSION:
+        version = int(z["format_version"])
+        if version != TABLE_FORMAT_VERSION:
             raise DomainError(
-                f"table file format {int(z['format_version'])} unsupported")
+                f"table file format {version} unsupported (this version "
+                f"reads format {TABLE_FORMAT_VERSION}); rebuild the file with "
+                "`orthozero recurrence --cache PATH`")
         return RecurrenceTable(
             label=str(z["label"]), n_max=int(z["n_max"]),
-            off_diag=z["off_diag"], diag=z["diag"],
-            log_leading=z["log_leading"], quad_nodes=z["quad_nodes"],
-            quad_weights=z["quad_weights"],
+            off_diag=z["off_diag"], log_leading=z["log_leading"],
             ortho_residual=float(z["ortho_residual"]), pad=float(z["pad"]),
             mesh_signature=str(z["mesh_signature"]))
 
 
 # ---------------------------------------------------------------------------
-# evaluation under a shared power-of-two exponent
+# the recurrence sweep and its reductions
 
 
-@dataclass(frozen=True)
-class PolyValues:
-    """p_0..p_n and derivatives at one point, as mantissa * 2^exponent."""
+def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
+           force_rescale_at: int | None = None):
+    """Run the recurrence at every point of the 1-D float array x; iterate
+    k = 0..n over (p_k, p_k', rescaled, expo).
 
-    values: np.ndarray
-    derivs: np.ndarray
-    exponent: int
+    p_k and p_k' are mantissas: the true p_k(x[i]) is p_k[i] * 2^expo[i].
+    When a mantissa passes 2^250 at degree k, the point's running values
+    are scaled by 2^-256 and `rescaled` marks it (None when no point is);
+    the consumer scales what it accumulated below degree k likewise.  Low
+    degrees may underflow after a rescale, negligibly against the dominant
+    degree.  `expo` is updated in place, and the yielded arrays are working
+    buffers: copy what must outlive the step.
 
-
-def eval_poly(table: RecurrenceTable, x: float, n: int) -> PolyValues:
-    """Evaluate p_0..p_n and p_0'..p_n' at x.
-
-    All returned mantissas share one power-of-two exponent; whenever the
-    running magnitude passes 2^250 every accumulated value is rescaled, so
-    no overflow occurs however far outside the support x lies.  Mantissas of
-    low degrees may underflow to zero after a rescale; their true values are
-    negligible relative to the dominant degree at such x.
+    Without `derivs`, p_k' is None and only values trigger a rescale.
+    `force_rescale_at` rescales every point at that degree, a test hook:
+    derived ratios stay invariant bit for bit.  The degree is checked
+    before iteration starts, so callers may size their output by n.
     """
-    if n > table.n_max:
-        raise DomainError(f"degree {n} exceeds table n_max {table.n_max}")
-    if n < 0:
-        raise DomainError("degree must be >= 0")
-    vals = np.zeros(n + 1)
-    ders = np.zeros(n + 1)
-    vals[0] = table.gamma0
-    expo = 0
-    p_prev = d_prev = 0.0
-    p_cur, d_cur = table.gamma0, 0.0
-    for k in range(1, n + 1):
-        bk = table.off_diag[k - 1]
-        bkm = table.off_diag[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bkm * p_prev) / bk
-        d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
-        if abs(p_next) > _TRIG or abs(d_next) > _TRIG:
-            f = 1.0 / _SCALE
-            p_next *= f
-            d_next *= f
-            p_cur *= f
-            d_cur *= f
-            vals[:k] *= f
-            ders[:k] *= f
-            expo += _SCALE_LOG2
-        vals[k] = p_next
-        ders[k] = d_next
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return PolyValues(values=vals, derivs=ders, exponent=expo)
+    if not 0 <= n <= table.n_max:
+        raise DomainError(
+            f"degree {n} outside 0..{table.n_max}, the table's n_max")
+    off = table.off_diag
 
+    def steps():
+        expo = np.zeros(x.size, dtype=np.int64)
+        p_prev = np.zeros(x.size)
+        p_cur = np.full(x.size, table.gamma0)
+        d_prev = np.zeros(x.size) if derivs else None
+        d_cur = np.zeros(x.size) if derivs else None
+        d_next = None
+        yield p_cur, d_cur, None, expo
+        for k in range(1, n + 1):
+            bk = off[k - 1]
+            bkm = off[k - 2] if k >= 2 else 0.0
+            p_next = (x * p_cur - bkm * p_prev) / bk
+            big = np.abs(p_next) > _TRIG
+            if derivs:
+                d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
+                big |= np.abs(d_next) > _TRIG
+            if k == force_rescale_at:
+                big[:] = True
+            if big.any():
+                p_next[big] /= _SCALE
+                p_cur[big] /= _SCALE
+                if derivs:
+                    d_next[big] /= _SCALE
+                    d_cur[big] /= _SCALE
+                expo[big] += _SCALE_LOG2
+            else:
+                big = None
+            yield p_next, d_next, big, expo
+            p_prev, p_cur = p_cur, p_next
+            d_prev, d_cur = d_cur, d_next
 
-@dataclass(frozen=True)
-class KernelTriple:
-    """Diagonal kernel sums A = sum p_j^2, B = sum p_j p_j', C = sum p_j'^2
-    as mantissas under a shared scale 2^exponent."""
-
-    a_val: float
-    b_val: float
-    c_val: float
-    exponent: int
+    return steps()
 
 
 def kernel_triple_many(table: RecurrenceTable, x, n: int,
                        force_rescale_at: int | None = None):
-    """A, B, C mantissas and per-point exponents at an array of points.
+    """Diagonal kernel sums K_{n+1}, K^{(0,1)}_{n+1}, K^{(1,1)}_{n+1}:
+    A = sum p_j^2, B = sum p_j p_j', C = sum p_j'^2 over j = 0..n at an
+    array of points.  Returns the mantissas A, B, C and per-point exponents
+    e2; the true sums are A * 2^e2 (likewise B and C).
 
-    `force_rescale_at` injects one extra renormalization after that degree;
-    the mantissa/exponent pairs change but every derived ratio is invariant
-    bit for bit, which the audit tests exercise.
+    `force_rescale_at` is passed to the sweep (a test hook).
     """
-    if n > table.n_max:
-        raise DomainError(f"degree {n} exceeds table n_max {table.n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = x.size
-    gamma0 = table.gamma0
-    p_prev = np.zeros(m)
-    d_prev = np.zeros(m)
-    p_cur = np.full(m, gamma0)
-    d_cur = np.zeros(m)
-    A = np.full(m, gamma0 * gamma0)
-    B = np.zeros(m)
-    C = np.zeros(m)
-    expo = np.zeros(m, dtype=np.int64)
-    off = table.off_diag
-    for k in range(1, n + 1):
-        bk = off[k - 1]
-        bkm = off[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bkm * p_prev) / bk
-        d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
-        big = (np.abs(p_next) > _TRIG) | (np.abs(d_next) > _TRIG)
-        if force_rescale_at is not None and k == force_rescale_at:
-            big = np.ones(m, dtype=bool)
-        if np.any(big):
-            f = 1.0 / _SCALE
-            p_next[big] *= f
-            d_next[big] *= f
-            p_cur[big] *= f
-            d_cur[big] *= f
-            ff = f * f
-            A[big] *= ff
-            B[big] *= ff
-            C[big] *= ff
-            expo[big] += _SCALE_LOG2
-        A += p_next * p_next
-        B += p_next * d_next
-        C += d_next * d_next
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
+    A = np.zeros(x.size)
+    B = np.zeros(x.size)
+    C = np.zeros(x.size)
+    for p, d, big, expo in _sweep(table, x, n, derivs=True,
+                                  force_rescale_at=force_rescale_at):
+        if big is not None:
+            A[big] /= _SCALE**2
+            B[big] /= _SCALE**2
+            C[big] /= _SCALE**2
+        A += p * p
+        B += p * d
+        C += d * d
     return A, B, C, 2 * expo
 
 
-def kernel_triple(table: RecurrenceTable, x: float, n: int) -> KernelTriple:
-    """K_{n+1}, K^{(0,1)}_{n+1}, K^{(1,1)}_{n+1} on the diagonal at x."""
-    A, B, C, e2 = kernel_triple_many(table, [x], n)
-    return KernelTriple(a_val=float(A[0]), b_val=float(B[0]),
-                        c_val=float(C[0]), exponent=int(e2[0]))
+def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
+    """Mantissas of p_0..p_n (and, with `derivs`, p_0'..p_n') at every
+    point of x, as (P, D, expo), D None without derivatives: the true
+    p_j(x[i]) is P[j, i] * 2^expo[i].  Signs of any combination C @ P are
+    the true polynomial's; the exponents compare magnitudes across points.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sweep = _sweep(table, x, n, derivs)
+    P = np.empty((n + 1, x.size))
+    D = np.empty((n + 1, x.size)) if derivs else None
+    for k, (p, d, big, expo) in enumerate(sweep):
+        if big is not None:
+            P[:k, big] /= _SCALE
+            if derivs:
+                D[:k, big] /= _SCALE
+        P[k] = p
+        if derivs:
+            D[k] = d
+    return P, D, expo
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,

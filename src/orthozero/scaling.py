@@ -78,14 +78,6 @@ class ScalingInfo:
         return np.sqrt(np.maximum((x - lo) * (hi - x), 0.0))
 
 
-def contract(info: ScalingInfo, x):
-    return info.contract(x)
-
-
-def expand(info: ScalingInfo, s):
-    return info.expand(s)
-
-
 def _mrs_integral(spec: WeightSpec, a: float, tol: float) -> float:
     """(2/pi) int_0^1 a t Q'(a t)/sqrt(1-t^2) dt, by first-kind Chebyshev
     nodes on the even extension, doubling until stable."""
@@ -191,11 +183,6 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
 
 
-def equilibrium_density(spec: WeightSpec, info: ScalingInfo, x: float,
-                        tol: float = 1e-8) -> float:
-    return float(equilibrium_density_many(spec, info, [x], tol=tol)[0])
-
-
 def normalized_density_many(spec: WeightSpec, info: ScalingInfo, s,
                             tol: float = 1e-8) -> np.ndarray:
     """sigma_n*(s) = (delta_n/n) sigma_n(L_n^{-1}(s)) for |s| < 1."""
@@ -205,11 +192,6 @@ def normalized_density_many(spec: WeightSpec, info: ScalingInfo, s,
     inner_tol = tol * info.n / info.delta_n
     return (info.delta_n / info.n) * equilibrium_density_many(
         spec, info, info.expand(s), tol=inner_tol)
-
-
-def normalized_density(spec: WeightSpec, info: ScalingInfo, s: float,
-                       tol: float = 1e-8) -> float:
-    return float(normalized_density_many(spec, info, [s], tol=tol)[0])
 
 
 @dataclass(frozen=True)

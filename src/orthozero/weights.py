@@ -35,6 +35,9 @@ class WeightSpec:
     even: bool
     alpha: float
     label: str
+    # content identity for the table cache (the Freud parameters); None
+    # makes the cache key on the identity of q instead
+    fingerprint: tuple | None = None
 
     def w2(self, x):
         """The orthogonality weight W^2 = exp(-2Q)."""
@@ -74,7 +77,8 @@ def make_freud(c: float, lam: float) -> WeightSpec:
         return _c * _l * (_l - 1.0) * np.abs(x) ** (_l - 2.0)
 
     label = f"freud:{format_float(c)}:{format_float(lam)}"
-    return WeightSpec(q=q, q1=q1, q2=q2, even=True, alpha=float(lam), label=label)
+    return WeightSpec(q=q, q1=q1, q2=q2, even=True, alpha=float(lam), label=label,
+                      fingerprint=("freud", float(c), float(lam)))
 
 
 def make_custom(q, q1, q2, even: bool, alpha: float, label: str) -> WeightSpec:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import orthozero as oz
-from orthozero.cli import ExperimentConfig, run
+from orthozero.cli import read_config, run
 
 
 def capture(argv):
@@ -141,7 +141,8 @@ def test_output_file(tmp_path):
 
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("weight=freud:1:2\ntol=1e-9\n")
+    cfg.write_text("# radius run\nweight=freud:1:2\n\ntol=1e-9\n")
+    assert read_config(cfg) == {"weight": "freud:1:2", "tol": "1e-9"}
     _, direct = capture(["mrs", "--weight", "freud:1:2", "--n", "8"])
     _, via_cfg = capture(["--config", str(cfg), "mrs", "--n", "8"])
     assert via_cfg == direct
@@ -150,16 +151,9 @@ def test_config_file_defaults(tmp_path):
                            "freud:0.5:2", "--n", "8"])
     a8 = float(override.strip().splitlines()[1].split(",")[1])
     assert a8 == pytest.approx(4.0, rel=1e-10)
-
-
-def test_experiment_config_roundtrip():
-    parser_ns = type("NS", (), {})()
-    vars(parser_ns).update(subcommand="mrs", weight="freud:1:2", n=[8],
-                           tol=1e-10, output=None, config=None, func=None)
-    cfg = ExperimentConfig.from_namespace(parser_ns)
-    again = ExperimentConfig.parse_canonical(cfg.canonical())
-    assert again == cfg
-    assert "subcommand=mrs" in cfg.canonical()
+    # flag spellings map to parameter names
+    cfg.write_text("n-max = 6\n")
+    assert read_config(cfg) == {"n_max": "6"}
 
 
 def test_verify_subset():

@@ -1,0 +1,54 @@
+"""Byte-identity gate for the CLI: the sha256 of each command's stdout must
+match the digest recorded for it.  The digests pin every printed digit, so
+a refactor of the numerical core that changes any result shows up here.
+
+Each command runs against an empty table cache: a cached table built for a
+larger degree serves smaller requests, and its coefficients differ from a
+fresh build in the last bits, so output would otherwise depend on which
+tests ran before.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from orthozero import orthopoly
+from orthozero.cli import run
+
+GOLDEN = {
+    ("mrs", "--weight", "freud:1:2", "--n", "8,100"):
+        "abfc50286ca1ccc5164a67a4bebda3b9c3a22259e361f763412f6ecb2426f998",
+    ("density", "--weight", "freud:1:4", "--n", "60", "--points", "21"):
+        "9117721ddcd65e41e504750b198f5bf0798cd41da493014293ef70d5f116cfa0",
+    ("recurrence", "--weight", "freud:0.5:2", "--n-max", "60"):
+        "ce4275939bde4d7d2db7643bdbbd91af004a0de98653c678cacee4444d8aa779",
+    ("kac", "--weight", "freud:0.5:2", "--n", "100", "--full-line"):
+        "e21133a0b4d72e1bb7c57b5d356302386c73d51c516ba1ed7cc682608932a216",
+    ("kac", "--weight", "freud:1:4", "--n", "80", "--interval", "-1.5", "2"):
+        "9309bb37f040caf88b56332121ad3dee8d5c126a8fd745423028b1f3d12419cd",
+    ("kac", "--weight", "freud:0.5:2", "--n", "100", "--interval", "-0.5",
+     "0.5", "--scaled"):
+        "211783505c96fa2e1f0b304f8bdce4a50dfef9b1babf9fb5f199186ee9e6f963",
+    ("kac", "--n", "300", "--basis", "monomial", "--full-line"):
+        "31fbc87f01ff3a29db2d14e5d9e6bf91eaa581703172afef12a2c96f50369503",
+    ("simulate", "--weight", "freud:0.5:2", "--n", "50", "--trials", "20"):
+        "727b7ce3c53051c77d7e8c776d4695220b7e43e51236744b7170571fe05548d3",
+    ("simulate", "--weight", "freud:1:2", "--n", "50", "--trials", "20",
+     "--dist", "rademacher", "--partition=-1,-0.5,0,0.5,1"):
+        "20dde587782d3fa918844f1264754244fcb49dca54b57dd99ab3cafbee728096",
+}
+
+
+def stdout_digest(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(list(argv)) == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda a: " ".join(a))
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.setattr(orthopoly, "_TABLE_CACHE", {})
+    assert stdout_digest(argv) == GOLDEN[argv]

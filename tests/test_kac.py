@@ -5,33 +5,30 @@ import pytest
 
 import orthozero as oz
 from orthozero.errors import DomainError
-from orthozero.orthopoly import KernelTriple
 
 
 def test_density_scale_invariance():
-    kt = KernelTriple(a_val=3.1, b_val=0.7, c_val=2.9, exponent=4)
-    pow2 = KernelTriple(a_val=64 * 3.1, b_val=64 * 0.7, c_val=64 * 2.9,
-                        exponent=4)
-    assert oz.kac_density(kt).hex() == oz.kac_density(pow2).hex()
+    kt = np.array([[3.1], [0.7], [2.9]])
+    base = float(oz.kac_density(*kt)[0])
+    assert float(oz.kac_density(*(64 * kt))[0]).hex() == base.hex()
     # non-binary factors perturb only the last bits
-    odd = KernelTriple(a_val=49 * 3.1, b_val=49 * 0.7, c_val=49 * 2.9,
-                       exponent=4)
-    assert oz.kac_density(odd) == pytest.approx(oz.kac_density(kt), rel=1e-14)
+    assert oz.kac_density(*(49 * kt))[0] == pytest.approx(base, rel=1e-14)
 
 
 def test_density_clamps_rounding_noise():
-    kt = KernelTriple(a_val=1.0, b_val=1.0, c_val=1.0 - 1e-16, exponent=0)
-    assert oz.kac_density(kt) == 0.0
+    dens = oz.kac_density(np.array([1.0]), np.array([1.0]),
+                          np.array([1.0 - 1e-16]))
+    assert dens[0] == 0.0
 
 
 def test_density_universality_crosscheck(hermite, hermite_table_101):
     # at the center B = 0, so the density is sqrt(C/A)/pi; the kernel limits
     # give sigma_{n+1}/sqrt(3) as an independent estimate
     n = 50
-    kt = oz.kernel_triple(hermite_table_101, 0.0, n)
-    dens = oz.kac_density(kt)
+    A, B, C, _ = oz.kernel_triple_many(hermite_table_101, [0.0], n)
+    dens = oz.kac_density(A, B, C)[0]
     info = oz.solve_mrs(hermite, n + 1)
-    est = oz.equilibrium_density(hermite, info, 0.0) / math.sqrt(3.0)
+    est = oz.equilibrium_density_many(hermite, info, [0.0])[0] / math.sqrt(3.0)
     assert dens == pytest.approx(est, rel=0.10)
 
 

@@ -302,3 +302,29 @@ def test_partition_validation(hermite, hermite_table_60):
     with pytest.raises(DomainError):
         oz.mc_expected_zeros(hermite, hermite_table_60, 20, 3, d, seed=0,
                              partition=(0.5, -0.5))
+
+
+def test_mc_reports_truncated_grid(hermite, hermite_table_60):
+    # a budget-truncated grid loses the far-tail zeros; the ensemble says so
+    d = oz.parse_dist("gaussian")
+    info = oz.solve_mrs(hermite, 41)
+    grid = oz.make_count_grid(hermite, info, hermite_table_60)
+    n_inner = int(np.sum(np.abs(grid) <= 1.03 * info.a_n))
+    full = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 2, d, seed=0)
+    tight = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 2, d, seed=0,
+                                 cfg=oz.CountConfig(max_grid=n_inner + 4))
+    assert full.complete
+    assert not tight.complete
+    assert tight.mean < full.mean
+
+
+def test_mc_degree_beyond_table(freud14):
+    tab = oz.build_recurrence(freud14, 40)
+    d = oz.parse_dist("gaussian")
+    with pytest.raises(DomainError):
+        oz.mc_expected_zeros(freud14, tab, 41, 2, d, seed=0)
+    s = oz.sample_coeffs(d, 0, 0, 41)
+    info = oz.solve_mrs(freud14, 41)
+    grid = oz.make_count_grid(freud14, info, tab)
+    with pytest.raises(DomainError):
+        oz.count_real_zeros(tab, s, info, grid=grid)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln, roots_hermite
 
 import orthozero as oz
+from orthozero import orthopoly
 from orthozero.errors import DomainError
 
 
@@ -16,9 +17,14 @@ def test_hermite_recurrence_oracle(hermite_table_60):
 
 
 def test_even_weight_diagonal_exactly_zero(hermite_table_60, freud14):
-    assert np.all(hermite_table_60.diag == 0.0)
-    tab = oz.get_table(freud14, 40)
-    assert np.all(tab.diag == 0.0)
+    # a_k = 0 makes p_k(-x) = (-1)^k p_k(x), exactly in floating point
+    x = np.array([0.3, 1.7, 4.0, 250.0])
+    for tab in (hermite_table_60, oz.get_table(freud14, 40)):
+        P, _, e = oz.poly_matrix(tab, x, 40)
+        Pm, _, em = oz.poly_matrix(tab, -x, 40)
+        parity = (-1.0) ** np.arange(41)[:, None]
+        assert np.array_equal(Pm, parity * P)
+        assert np.array_equal(em, e)
 
 
 def test_hermite_leading_coefficients(hermite_table_60):
@@ -68,27 +74,27 @@ def test_residual_and_independent_gram(hermite_table_60):
 
 
 def test_eval_poly_values(hermite_table_60):
-    pv = oz.eval_poly(hermite_table_60, 1.5, 5)
-    scale = 2.0 ** pv.exponent
-    assert pv.values[0] * scale == pytest.approx(np.pi ** -0.25, rel=1e-13)
-    assert pv.values[1] * scale == pytest.approx(
+    P, _, e = oz.poly_matrix(hermite_table_60, [1.5], 5)
+    scale = 2.0 ** e[0]
+    assert P[0, 0] * scale == pytest.approx(np.pi ** -0.25, rel=1e-13)
+    assert P[1, 0] * scale == pytest.approx(
         math.sqrt(2.0) * np.pi ** -0.25 * 1.5, rel=1e-12)
-    for x in (-2.0, 0.0, 4.4):
-        assert oz.eval_poly(hermite_table_60, x, 3).values[0] == pytest.approx(
-            hermite_table_60.gamma0)
+    P, _, _ = oz.poly_matrix(hermite_table_60, [-2.0, 0.0, 4.4], 3)
+    assert P[0] == pytest.approx(hermite_table_60.gamma0)
     with pytest.raises(DomainError):
-        oz.eval_poly(hermite_table_60, 0.0, 61)
+        oz.poly_matrix(hermite_table_60, [0.0], 61)
+    with pytest.raises(DomainError):
+        oz.poly_matrix(hermite_table_60, [0.0], -1)
 
 
 def test_eval_poly_derivatives_vs_finite_difference(hermite_table_60):
     h = 1e-5
     for x in (0.3, 2.0):
-        pv = oz.eval_poly(hermite_table_60, x, 30)
-        up = oz.eval_poly(hermite_table_60, x + h, 30)
-        dn = oz.eval_poly(hermite_table_60, x - h, 30)
-        assert up.exponent == dn.exponent == pv.exponent == 0
-        fd = (up.values - dn.values) / (2.0 * h)
-        rel = np.abs(fd[1:] - pv.derivs[1:]) / np.abs(pv.derivs[1:])
+        P, D, e = oz.poly_matrix(hermite_table_60, [x, x + h, x - h], 30,
+                                 derivs=True)
+        assert np.all(e == 0)
+        fd = (P[:, 1] - P[:, 2]) / (2.0 * h)
+        rel = np.abs(fd[1:] - D[1:, 0]) / np.abs(D[1:, 0])
         assert np.max(rel) <= 1e-6
 
 
@@ -96,7 +102,7 @@ def test_eval_poly_exponent_scheme_matches_direct(hermite_table_60):
     # wherever plain evaluation cannot overflow the two must agree closely
     tab = hermite_table_60
     for x in (-5.0, -1.2, 0.4, 3.3, 5.0):
-        pv = oz.eval_poly(tab, x, 30)
+        P, _, e = oz.poly_matrix(tab, [x], 30)
         vals = np.empty(31)
         vals[0] = tab.gamma0
         p_prev, p_cur = 0.0, tab.gamma0
@@ -105,14 +111,14 @@ def test_eval_poly_exponent_scheme_matches_direct(hermite_table_60):
             bkm = tab.off_diag[k - 2] if k >= 2 else 0.0
             p_prev, p_cur = p_cur, (x * p_cur - bkm * p_prev) / bk
             vals[k] = p_cur
-        assert np.max(np.abs(pv.values * 2.0 ** pv.exponent - vals)
+        assert np.max(np.abs(P[:, 0] * 2.0 ** e[0] - vals)
                       / np.maximum(np.abs(vals), 1e-300)) <= 1e-12
 
 
 def test_eval_poly_no_overflow_far_outside(hermite_table_60):
-    pv = oz.eval_poly(hermite_table_60, 200.0, 60)
-    assert np.all(np.isfinite(pv.values))
-    assert pv.exponent > 0
+    P, D, e = oz.poly_matrix(hermite_table_60, [200.0], 60, derivs=True)
+    assert np.all(np.isfinite(P)) and np.all(np.isfinite(D))
+    assert e[0] > 0
     # p_60(200) ~ 10^138: direct evaluation would still fit, so compare
     direct_log10 = None
     p_prev, p_cur = 0.0, hermite_table_60.gamma0
@@ -121,25 +127,24 @@ def test_eval_poly_no_overflow_far_outside(hermite_table_60):
         bkm = hermite_table_60.off_diag[k - 2] if k >= 2 else 0.0
         p_prev, p_cur = p_cur, (200.0 * p_cur - bkm * p_prev) / bk
     direct_log10 = np.log10(p_cur)
-    scaled_log10 = np.log10(pv.values[60]) + pv.exponent * np.log10(2.0)
+    scaled_log10 = np.log10(P[60, 0]) + e[0] * np.log10(2.0)
     assert scaled_log10 == pytest.approx(direct_log10, abs=1e-10)
 
 
 def test_kernel_triple_degree_zero(hermite_table_60):
-    kt = oz.kernel_triple(hermite_table_60, 0.7, 0)
-    assert kt.a_val == pytest.approx(hermite_table_60.gamma0 ** 2)
-    assert kt.b_val == 0.0
-    assert kt.c_val == 0.0
-    assert oz.kac_density(kt) == 0.0
+    A, B, C, _ = oz.kernel_triple_many(hermite_table_60, [0.7], 0)
+    assert A[0] == pytest.approx(hermite_table_60.gamma0 ** 2)
+    assert B[0] == 0.0
+    assert C[0] == 0.0
+    assert oz.kac_density(A, B, C)[0] == 0.0
 
 
 def test_kernel_b_is_half_derivative_of_a(hermite_table_60):
     x, h, n = 0.7, 1e-6, 50
-    kt = oz.kernel_triple(hermite_table_60, x, n)
-    up = oz.kernel_triple(hermite_table_60, x + h, n)
-    dn = oz.kernel_triple(hermite_table_60, x - h, n)
-    fd = (up.a_val - dn.a_val) / (2.0 * h)
-    assert kt.b_val == pytest.approx(0.5 * fd, rel=1e-6)
+    A, B, _, e2 = oz.kernel_triple_many(hermite_table_60, [x, x + h, x - h], n)
+    assert np.all(e2 == 0)
+    fd = (A[1] - A[2]) / (2.0 * h)
+    assert B[0] == pytest.approx(0.5 * fd, rel=1e-6)
 
 
 def test_kernel_cauchy_schwarz(freud12):
@@ -153,8 +158,8 @@ def test_kernel_cauchy_schwarz(freud12):
 
 
 def test_kernel_even_weight_b_vanishes_at_origin(hermite_table_60):
-    kt = oz.kernel_triple(hermite_table_60, 0.0, 49)
-    assert kt.b_val == 0.0
+    _, B, _, _ = oz.kernel_triple_many(hermite_table_60, [0.0], 49)
+    assert B[0] == 0.0
 
 
 def test_forced_rescale_is_invisible(hermite_table_60):
@@ -183,11 +188,13 @@ def test_universality_r01_exact_zero_at_origin(hermite):
     assert r01 == 0.0
 
 
-def test_table_quad_rule_reproduces_moment(hermite_table_60, hermite):
-    # the stored rule integrates the measure: sum w exp(-2Q) = 1/gamma0^2
-    w2 = hermite.w2(hermite_table_60.quad_nodes)
-    m0 = float(np.sum(hermite_table_60.quad_weights * w2))
-    assert m0 == pytest.approx(1.0 / hermite_table_60.gamma0 ** 2, rel=1e-13)
+def test_table_quad_rule_reproduces_moment(hermite_table_60, freud14):
+    # the build's rule integrates the measure: 1/gamma0^2 is the mass of
+    # exp(-2c|x|^lam), 2 Gamma(1/lam) / (lam (2c)^(1/lam)) in closed form
+    for tab, c, lam in ((hermite_table_60, 0.5, 2.0),
+                        (oz.get_table(freud14, 40), 1.0, 4.0)):
+        m0 = 2.0 * math.gamma(1.0 / lam) / (lam * (2.0 * c) ** (1.0 / lam))
+        assert m0 == pytest.approx(1.0 / tab.gamma0 ** 2, rel=1e-13)
 
 
 def test_table_save_load_roundtrip(tmp_path, hermite_table_60):
@@ -201,10 +208,43 @@ def test_table_save_load_roundtrip(tmp_path, hermite_table_60):
     assert back.mesh_signature == hermite_table_60.mesh_signature
 
 
-def test_get_table_serves_smaller_requests(hermite):
+def test_get_table_serves_smaller_requests(hermite, monkeypatch):
+    # an empty cache, so tables cached by earlier tests cannot answer first
+    monkeypatch.setattr(orthopoly, "_TABLE_CACHE", {})
     big = oz.get_table(hermite, 60)
     small = oz.get_table(hermite, 10)
     assert small is big
+    # a separately parsed spec of the same weight hits the same entry
+    assert oz.get_table(oz.parse_weight("freud:0.5:2"), 10) is big
+
+
+def test_get_table_keys_on_content_not_label():
+    quad = oz.make_custom(q=lambda x: x**2, q1=lambda x: 2 * x,
+                          q2=lambda x: 2 + 0 * x, even=True, alpha=2.0,
+                          label="w")
+    mixed = oz.make_custom(q=lambda x: x**2 + x**4, q1=lambda x: 2 * x + 4 * x**3,
+                           q2=lambda x: 2 + 12 * x**2, even=True, alpha=4.0,
+                           label="w")
+    t_quad = oz.get_table(quad, 8)
+    t_mixed = oz.get_table(mixed, 8)
+    assert t_mixed is not t_quad
+    assert not np.array_equal(t_mixed.off_diag, t_quad.off_diag)
+    # Q = x^2 is the Hermite weight exp(-2x^2): b_k = sqrt(k)/2
+    assert t_quad.off_diag == pytest.approx(np.sqrt(np.arange(1, 9)) / 2,
+                                            rel=1e-10)
+
+
+def test_table_format_v1_rejected(tmp_path, hermite_table_60):
+    path = tmp_path / "old.npz"
+    t = hermite_table_60
+    np.savez_compressed(
+        path, format_version=1, label=t.label, n_max=t.n_max,
+        off_diag=t.off_diag, diag=np.zeros(t.n_max), log_leading=t.log_leading,
+        quad_nodes=np.zeros(3), quad_weights=np.zeros(3),
+        ortho_residual=t.ortho_residual, pad=t.pad,
+        mesh_signature=t.mesh_signature)
+    with pytest.raises(DomainError, match=r"format 1 .*recurrence --cache"):
+        oz.load_table(path)
 
 
 def test_build_rejects_bad_arguments(hermite):
