@@ -130,19 +130,24 @@ def cmd_simulate(ns) -> int:
     spec = weights.parse_weight(ns.weight)
     dist = montecarlo.parse_dist(ns.dist)
     table = orthopoly.get_table(spec, ns.n)
-    partition = tuple(ns.partition) if ns.partition else None
+    edges = montecarlo.partition_edges(ns.partition) if ns.partition else None
+    # the partition shares come from the same eigenvalues as the KS statistic
     res = montecarlo.mc_expected_zeros(spec, table, ns.n, ns.trials, dist,
-                                       ns.seed, partition=partition)
+                                       ns.seed)
     info_n = scaling.solve_mrs(spec, ns.n)
     imag_tol = ns.imag_tol if ns.imag_tol is not None else 1e-8 * info_n.a_n
     ks_vals = []
     cfrac = []
+    shares = []
     for t in range(ns.trials):
         s = montecarlo.sample_coeffs(dist, ns.seed, t, ns.n)
         z = montecarlo.all_zeros(table, s)
         m = montecarlo.empirical_measure(z, info_n, imag_tol=imag_tol)
         ks_vals.append(montecarlo.ks_to_ullman(m, spec.alpha))
         cfrac.append(m.complex_count / m.total)
+        if edges is not None:
+            shares.append(montecarlo.interval_shares(z, edges, info_n.a_n,
+                                                     ns.n))
     rows = ["trial,count"]
     rows += [f"{t},{int(c)}" for t, c in enumerate(res.counts)]
     summary = {
@@ -154,10 +159,10 @@ def cmd_simulate(ns) -> int:
         "stderr": res.stderr,
         "trials": ns.trials,
     }
-    if res.partition_fractions is not None:
-        summary["partition_edges"] = list(res.partition)
+    if edges is not None:
+        summary["partition_edges"] = list(ns.partition)
         summary["partition_fractions"] = [float(v)
-                                          for v in res.partition_fractions]
+                                          for v in np.mean(shares, axis=0)]
     text = "\n".join(rows) + "\n" + json.dumps(summary, sort_keys=True) + "\n"
     _write(ns.output, text)
     return 0

@@ -110,6 +110,11 @@ class CountResult:
     grid_size: int
 
 
+# the inner grid, stepped at grid_factor / sigma, spans |x| <= _EDGE * a_n;
+# the geometric tail beyond it has cells far wider than a zero spacing
+_EDGE = 1.02
+
+
 def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
                     cfg: CountConfig = CountConfig()) -> np.ndarray:
     """Evaluation grid for counting zeros of degree info.n - 1 polynomials.
@@ -131,7 +136,7 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
         s = min(max(x / a, -1.0 + 1e-9), 1.0 - 1e-9)
         return max(float(np.interp(s, s_grid, sig_star)) * npl / a, floor)
 
-    edge = 1.02 * a
+    edge = _EDGE * a
     pts = [-edge]
     x = -edge
     while x < edge:
@@ -156,16 +161,24 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
 
 _SUBDIV_DEPTH = 3
 _SUBDIV_FAN = 6
+# an inner derivative-only cell is declared zero-free when the cubic Hermite
+# interpolant of its end values and slopes stays above this fraction of the
+# larger end value; the dense-scan audit (tests/test_pair_rescue.py) finds
+# the interpolant's relative error on the cells it clears below a third of it
+_EXCLUDE_MARGIN = 0.5
+# coefficient block of one subdivision sweep
+_SLAB_BYTES = 8_000_000
 
 
 def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
                   n: int, derivs: bool):
     """Accumulate sum_j Ct[j, i] p_j(x[i]) (and optionally the derivative
     combination) point by point without storing the polynomial matrix;
-    mantissa output under a per-point power-of-two scale."""
+    mantissas and the per-point exponents: the true values are
+    S * 2^expo (likewise Sd)."""
     S = np.zeros(x.size)
     Sd = np.zeros(x.size) if derivs else None
-    for k, (p, d, big, _) in enumerate(_sweep(table, x, n, derivs)):
+    for k, (p, d, big, expo) in enumerate(_sweep(table, x, n, derivs)):
         if big is not None:
             S[big] /= _SCALE
             if derivs:
@@ -173,7 +186,7 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
         S += Ct[k] * p
         if derivs:
             Sd += Ct[k] * d
-    return S, Sd
+    return S, Sd, expo
 
 
 def _grid_complete(grid: np.ndarray, info: ScalingInfo,
@@ -182,23 +195,73 @@ def _grid_complete(grid: np.ndarray, info: ScalingInfo,
     return bool(grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n)
 
 
+def _hermite_min(f0, f1, m0, m1):
+    """Minimum over s in [0, 1] of the cubic Hermite interpolant with
+    values f0, f1 and slopes m0, m1 (per unit s) at s = 0, 1: the smaller
+    end value or the cubic at a root of its quadratic derivative."""
+    c2 = 3.0 * (f1 - f0) - 2.0 * m0 - m1
+    c3 = 2.0 * (f0 - f1) + m0 + m1
+    # H'(s) = m0 + b s + a s^2, roots by the cancellation-free formula
+    a, b = 3.0 * c3, 2.0 * c2
+    disc = b * b - 4.0 * a * m0
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    low = np.minimum(f0, f1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in (q / a, m0 / q):
+            s = np.where((disc >= 0) & (s > 0) & (s < 1), s, 0.0)
+            low = np.minimum(low, f0 + s * (m0 + s * (c2 + s * c3)))
+    return low
+
+
+def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
+                  grid: np.ndarray, pf: np.ndarray, edge: float):
+    """Rows and cells that may hide a pair of zeros: a derivative flip and
+    no value flip (Rolle), less the inner cells (both ends within `edge`)
+    whose Hermite interpolant stays above _EXCLUDE_MARGIN of the larger
+    end value.  V, Vd are the combination mantissas on the grid and expo
+    their per-point exponents; the ends of a cell are aligned to the
+    larger exponent before comparison."""
+    Sd = np.sign(Vd)
+    t, c = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
+    x0, x1 = grid[c], grid[c + 1]
+    inner = (np.abs(x0) <= edge) & (np.abs(x1) <= edge)
+    t_in, c_in = t[inner], c[inner]
+    e0, e1 = expo[c_in], expo[c_in + 1]
+    top = np.maximum(e0, e1)
+    f0 = np.ldexp(V[t_in, c_in], e0 - top)
+    f1 = np.ldexp(V[t_in, c_in + 1], e1 - top)
+    h = x1[inner] - x0[inner]
+    m0 = h * np.ldexp(Vd[t_in, c_in], e0 - top)
+    m1 = h * np.ldexp(Vd[t_in, c_in + 1], e1 - top)
+    # no value flip: f0 + f1 carries the cell's sign; a vanishing end
+    # gives a 0 or NaN minimum and keeps the cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.sign(f0 + f1) / np.maximum(np.abs(f0), np.abs(f1))
+        low = _hermite_min(f0 * norm, f1 * norm, m0 * norm, m1 * norm)
+    keep = np.ones(t.size, dtype=bool)
+    keep[inner] = ~(low > _EXCLUDE_MARGIN)
+    return t[keep], c[keep]
+
+
 def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
-                      n: int, width: float, refine: bool):
+                      n: int, width: float, refine: bool, edge: float):
     """Shared counting core for a block of coefficient rows.
 
-    Sign changes of the combination on the grid give the base brackets; a
+    Sign changes of the combination on the grid give the base brackets.  A
     hidden pair of zeros inside a cell forces (Rolle) a sign change of the
-    derivative there, so cells with a derivative flip and no value flip are
-    recursively subdivided a few levels before being declared zero-free.
+    derivative there; such cells, less those the Hermite exclusion test
+    clears (see _rescue_cells), are subdivided a few levels, every fan
+    point of a level evaluated in one sweep, before being declared
+    zero-free.  `edge` bounds the inner grid (_EDGE * a_n).
 
     Returns (counts, list of sorted zero arrays per row).
     """
     T = C.shape[0]
-    P, D, _ = poly_matrix(table, grid, n, derivs=True)
-    S = np.sign(C @ P)
-    Sd = np.sign(C @ D)
+    P, D, expo = poly_matrix(table, grid, n, derivs=True)
+    V = C @ P
+    Vd = C @ D
+    S = np.sign(V)
     pf = (S[:, :-1] * S[:, 1:]) < 0
-    df = (Sd[:, :-1] * Sd[:, 1:]) < 0
 
     ti, ci = np.nonzero(pf)
     br_t = [ti]
@@ -206,33 +269,33 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     br_hi = [grid[ci + 1]]
     br_sl = [S[ti, ci]]
 
-    # pair-rescue subdivision of derivative-only cells
-    tj, cj = np.nonzero(df & ~pf)
-    act_t, act_lo, act_hi = tj, grid[cj], grid[cj + 1]
+    # pair-rescue subdivision of the surviving derivative-only cells, in
+    # slabs that bound the repeated coefficient block
+    tj, cj = _rescue_cells(V, Vd, expo, grid, pf, edge)
     frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
-    for _ in range(_SUBDIV_DEPTH):
-        if act_t.size == 0:
-            break
-        xs = act_lo[:, None] + (act_hi - act_lo)[:, None] * frac[None, :]
-        Ct = np.ascontiguousarray(C[act_t].T)
-        sp = np.empty((act_t.size, _SUBDIV_FAN + 1))
-        sd = np.empty((act_t.size, _SUBDIV_FAN + 1))
-        for j in range(_SUBDIV_FAN + 1):
-            sv, dv = _combo_values(table, Ct, np.ascontiguousarray(xs[:, j]),
-                                   n, derivs=True)
-            sp[:, j] = np.sign(sv)
-            sd[:, j] = np.sign(dv)
-        sub_pf = (sp[:, :-1] * sp[:, 1:]) < 0
-        sub_df = (sd[:, :-1] * sd[:, 1:]) < 0
-        fi, fj = np.nonzero(sub_pf)
-        if fi.size:
-            br_t.append(act_t[fi])
-            br_lo.append(xs[fi, fj])
-            br_hi.append(xs[fi, fj + 1])
-            br_sl.append(sp[fi, fj])
-        ki, kj = np.nonzero(sub_df & ~sub_pf)
-        act_t = act_t[ki]
-        act_lo, act_hi = xs[ki, kj], xs[ki, kj + 1]
+    slab = max(1, _SLAB_BYTES // (8 * (n + 1) * frac.size))
+    for s0 in range(0, tj.size, slab):
+        act_t, c = tj[s0:s0 + slab], cj[s0:s0 + slab]
+        act_lo, act_hi = grid[c], grid[c + 1]
+        for _ in range(_SUBDIV_DEPTH):
+            if act_t.size == 0:
+                break
+            xs = act_lo[:, None] + (act_hi - act_lo)[:, None] * frac[None, :]
+            Ct = np.ascontiguousarray(np.repeat(C[act_t], frac.size, axis=0).T)
+            sv, dv, _ = _combo_values(table, Ct, xs.ravel(), n, derivs=True)
+            sp = np.sign(sv).reshape(xs.shape)
+            sd = np.sign(dv).reshape(xs.shape)
+            sub_pf = (sp[:, :-1] * sp[:, 1:]) < 0
+            sub_df = (sd[:, :-1] * sd[:, 1:]) < 0
+            fi, fj = np.nonzero(sub_pf)
+            if fi.size:
+                br_t.append(act_t[fi])
+                br_lo.append(xs[fi, fj])
+                br_hi.append(xs[fi, fj + 1])
+                br_sl.append(sp[fi, fj])
+            ki, kj = np.nonzero(sub_df & ~sub_pf)
+            act_t = act_t[ki]
+            act_lo, act_hi = xs[ki, kj], xs[ki, kj + 1]
 
     bt = np.concatenate(br_t)
     lo = np.concatenate(br_lo)
@@ -243,7 +306,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            sv, _ = _combo_values(table, Ct, mid, n, derivs=False)
+            sv, _, _ = _combo_values(table, Ct, mid, n, derivs=False)
             sm = np.sign(sv)
             left = sl * sm < 0
             hi = np.where(left, mid, hi)
@@ -251,9 +314,10 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
             sl = np.where(left | (sm == 0), sl, sm)
     roots = 0.5 * (lo + hi)
 
-    exact = np.sum(S == 0, axis=1)
-    counts = np.bincount(bt, minlength=T) + exact
-    zeros = [np.sort(roots[bt == t]) for t in range(T)]
+    per_row = np.bincount(bt, minlength=T)
+    counts = per_row + np.sum(S == 0, axis=1)
+    order = np.lexsort((roots, bt))
+    zeros = np.split(roots[order], np.cumsum(per_row)[:-1])
     return counts, zeros
 
 
@@ -274,7 +338,8 @@ def count_real_zeros(table: RecurrenceTable, sample: CoefficientSample,
             raise DomainError("need either a grid or a spec to build one")
         grid = make_count_grid(spec, info, table, cfg)
     counts, zeros = _count_and_locate(table, sample.coeffs[None, :], grid, n,
-                                      cfg.bisect_rel * info.a_n, cfg.refine)
+                                      cfg.bisect_rel * info.a_n, cfg.refine,
+                                      _EDGE * info.a_n)
     return CountResult(count=int(counts[0]), zeros=zeros[0],
                        complete=_grid_complete(grid, info, cfg),
                        grid_size=grid.size)
@@ -347,6 +412,22 @@ def ks_to_ullman(measure: EmpiricalMeasure, alpha: float) -> float:
 # ensemble driver
 
 
+def partition_edges(partition) -> np.ndarray:
+    """Validated interval edges of a partition of the scaled line."""
+    edges = np.asarray(partition, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise DomainError("partition must be an increasing list of edges")
+    return edges
+
+
+def interval_shares(zeros: np.ndarray, edges: np.ndarray, a_scale: float,
+                    n: int) -> np.ndarray:
+    """Per interval of `edges`, the share of a degree-n polynomial's zeros
+    whose real parts, contracted by a_scale, fall inside it."""
+    hist, _ = np.histogram(np.sort(zeros.real) / a_scale, bins=edges)
+    return hist / n
+
+
 @dataclass(frozen=True)
 class McResult:
     """Ensemble statistics; `complete` is False when the counting grid was
@@ -376,11 +457,8 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     grid = make_count_grid(spec, info, table, cfg)
     counts = np.zeros(trials)
     frac = None
-    edges = None
     if partition is not None:
-        edges = np.asarray(partition, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise DomainError("partition must be an increasing list of edges")
+        edges = partition_edges(partition)
         frac = np.zeros((trials, edges.size - 1))
         a_scale = solve_mrs(spec, n).a_n  # contraction uses a_n, not a_{n+1}
 
@@ -392,7 +470,7 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                       for t in range(t0, t1)])
         # counts are fixed before bracket refinement, so the ensemble skips it
         blk_counts, _ = _count_and_locate(table, C, grid, n, width,
-                                          refine=False)
+                                          refine=False, edge=_EDGE * info.a_n)
         counts[t0:t1] = blk_counts
         if frac is not None:
             # interval statistics of the contracted polynomial count all n
@@ -400,8 +478,7 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
             # the contraction), so they come from the eigenvalue route
             for t in range(t0, t1):
                 z = all_zeros(table, CoefficientSample(dist, seed, t, C[t - t0]))
-                hist, _ = np.histogram(np.sort(z.real) / a_scale, bins=edges)
-                frac[t] = hist / n
+                frac[t] = interval_shares(z, edges, a_scale, n)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))
     return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials,
