@@ -164,8 +164,11 @@ _SUBDIV_FAN = 6
 # an inner derivative-only cell is declared zero-free when the cubic Hermite
 # interpolant of its end values and slopes stays above this fraction of the
 # larger end value; the dense-scan audit (tests/test_pair_rescue.py) finds
-# the interpolant's relative error on the cells it clears below a third of it
+# the interpolant's relative error on the cells it clears below a third of
+# it, on grids stepped at _AUDITED_GRID_FACTOR / sigma.  The error grows
+# like the fourth power of the step, so coarser grids clear nothing.
 _EXCLUDE_MARGIN = 0.5
+_AUDITED_GRID_FACTOR = 0.1
 # coefficient block of one subdivision sweep
 _SLAB_BYTES = 8_000_000
 
@@ -173,12 +176,11 @@ _SLAB_BYTES = 8_000_000
 def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
                   n: int, derivs: bool):
     """Accumulate sum_j Ct[j, i] p_j(x[i]) (and optionally the derivative
-    combination) point by point without storing the polynomial matrix;
-    mantissas and the per-point exponents: the true values are
-    S * 2^expo (likewise Sd)."""
+    combination) point by point without storing the polynomial matrix.
+    Returns mantissas only: their signs are the true combination's."""
     S = np.zeros(x.size)
     Sd = np.zeros(x.size) if derivs else None
-    for k, (p, d, big, expo) in enumerate(_sweep(table, x, n, derivs)):
+    for k, (p, d, big, _) in enumerate(_sweep(table, x, n, derivs)):
         if big is not None:
             S[big] /= _SCALE
             if derivs:
@@ -186,13 +188,20 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
         S += Ct[k] * p
         if derivs:
             Sd += Ct[k] * d
-    return S, Sd, expo
+    return S, Sd
 
 
 def _grid_complete(grid: np.ndarray, info: ScalingInfo,
                    cfg: CountConfig) -> bool:
     """False when a budget-truncated grid stops short of pad * a_n."""
     return bool(grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n)
+
+
+def _clear_edge(cfg: CountConfig, info: ScalingInfo) -> float:
+    """Reach of the cells the Hermite exclusion test may clear: the inner
+    grid, |x| <= _EDGE * a_n, of a make_count_grid grid stepped at the
+    audited grid_factor or finer; 0 (clear nothing) on coarser grids."""
+    return _EDGE * info.a_n if cfg.grid_factor <= _AUDITED_GRID_FACTOR else 0.0
 
 
 def _hermite_min(f0, f1, m0, m1):
@@ -252,7 +261,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     derivative there; such cells, less those the Hermite exclusion test
     clears (see _rescue_cells), are subdivided a few levels, every fan
     point of a level evaluated in one sweep, before being declared
-    zero-free.  `edge` bounds the inner grid (_EDGE * a_n).
+    zero-free.  `edge` bounds the cells the test may clear (_clear_edge).
 
     Returns (counts, list of sorted zero arrays per row).
     """
@@ -282,7 +291,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
                 break
             xs = act_lo[:, None] + (act_hi - act_lo)[:, None] * frac[None, :]
             Ct = np.ascontiguousarray(np.repeat(C[act_t], frac.size, axis=0).T)
-            sv, dv, _ = _combo_values(table, Ct, xs.ravel(), n, derivs=True)
+            sv, dv = _combo_values(table, Ct, xs.ravel(), n, derivs=True)
             sp = np.sign(sv).reshape(xs.shape)
             sd = np.sign(dv).reshape(xs.shape)
             sub_pf = (sp[:, :-1] * sp[:, 1:]) < 0
@@ -306,7 +315,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            sv, _, _ = _combo_values(table, Ct, mid, n, derivs=False)
+            sv, _ = _combo_values(table, Ct, mid, n, derivs=False)
             sm = np.sign(sv)
             left = sl * sm < 0
             hi = np.where(left, mid, hi)
@@ -330,16 +339,21 @@ def count_real_zeros(table: RecurrenceTable, sample: CoefficientSample,
     bisecting to width bisect_rel * a_n.
 
     Pass a precomputed `grid` (from make_count_grid) when running many
-    trials; otherwise `spec` is required to build one.
+    trials; otherwise `spec` is required to build one.  The exclusion test
+    of the pair rescue runs only on a grid built here: a caller's grid may
+    be coarser than the audited step, so there every cell where the
+    derivative flips and the value does not is subdivided.
     """
     n = len(sample.coeffs) - 1
+    edge = 0.0
     if grid is None:
         if spec is None:
             raise DomainError("need either a grid or a spec to build one")
         grid = make_count_grid(spec, info, table, cfg)
+        edge = _clear_edge(cfg, info)
     counts, zeros = _count_and_locate(table, sample.coeffs[None, :], grid, n,
                                       cfg.bisect_rel * info.a_n, cfg.refine,
-                                      _EDGE * info.a_n)
+                                      edge)
     return CountResult(count=int(counts[0]), zeros=zeros[0],
                        complete=_grid_complete(grid, info, cfg),
                        grid_size=grid.size)
@@ -437,52 +451,32 @@ class McResult:
     stderr: float
     counts: np.ndarray
     trials: int
-    partition: tuple[float, ...] | None = None
-    partition_fractions: np.ndarray | None = None
     complete: bool = True
 
 
 def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                       trials: int, dist: CoeffDist, seed: int,
-                      partition: tuple[float, ...] | None = None,
                       cfg: CountConfig = CountConfig(),
                       info: ScalingInfo | None = None) -> McResult:
     """Mean and standard error of the real-zero count over independent
-    trials, optionally with per-interval scaled-zero fractions for a
-    partition of [-1, 1] (estimates of E[N*(E)]/n)."""
+    trials."""
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
     if info is None:
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table, cfg)
     counts = np.zeros(trials)
-    frac = None
-    if partition is not None:
-        edges = partition_edges(partition)
-        frac = np.zeros((trials, edges.size - 1))
-        a_scale = solve_mrs(spec, n).a_n  # contraction uses a_n, not a_{n+1}
-
     width = cfg.bisect_rel * info.a_n
+    edge = _clear_edge(cfg, info)
     chunk = max(1, min(trials, 64_000_000 // (8 * grid.size)))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         C = np.stack([sample_coeffs(dist, seed, t, n).coeffs
                       for t in range(t0, t1)])
         # counts are fixed before bracket refinement, so the ensemble skips it
-        blk_counts, _ = _count_and_locate(table, C, grid, n, width,
-                                          refine=False, edge=_EDGE * info.a_n)
-        counts[t0:t1] = blk_counts
-        if frac is not None:
-            # interval statistics of the contracted polynomial count all n
-            # zeros through their real parts (imaginary parts vanish under
-            # the contraction), so they come from the eigenvalue route
-            for t in range(t0, t1):
-                z = all_zeros(table, CoefficientSample(dist, seed, t, C[t - t0]))
-                frac[t] = interval_shares(z, edges, a_scale, n)
+        counts[t0:t1], _ = _count_and_locate(table, C, grid, n, width,
+                                             refine=False, edge=edge)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))
     return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials,
-                    partition=tuple(partition) if partition is not None else None,
-                    partition_fractions=(frac.mean(axis=0) if frac is not None
-                                         else None),
                     complete=_grid_complete(grid, info, cfg))

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import roots_hermite
 
 import orthozero as oz
+from orthozero import montecarlo as mc
 from orthozero.errors import DegenerateSampleError, DomainError
 
 
@@ -270,11 +271,14 @@ def test_rademacher_partition_fractions(hermite):
     # weak-convergence theorem needs no Gaussianity
     tab = oz.get_table(hermite, 201)
     d = oz.parse_dist("rademacher")
-    res = oz.mc_expected_zeros(hermite, tab, 200, 1000, d, seed=0,
-                               partition=(-1.0, -0.5, 0.0, 0.5, 1.0))
+    edges = mc.partition_edges((-1.0, -0.5, 0.0, 0.5, 1.0))
+    a_n = oz.solve_mrs(hermite, 200).a_n
+    fractions = np.mean(
+        [mc.interval_shares(oz.all_zeros(tab, oz.sample_coeffs(d, 0, t, 200)),
+                            edges, a_n, 200) for t in range(1000)], axis=0)
     masses = np.array([oz.ullman_cdf(2.0, b) - oz.ullman_cdf(2.0, a)
                        for a, b in ((-1, -0.5), (-0.5, 0), (0, 0.5), (0.5, 1))])
-    assert np.max(np.abs(res.partition_fractions - masses)) <= 0.03
+    assert np.max(np.abs(fractions - masses)) <= 0.03
 
 
 def test_grid_budget_partial_flag(hermite, hermite_table_60):
@@ -297,11 +301,10 @@ def test_grid_budget_partial_flag(hermite, hermite_table_60):
                             cfg=oz.CountConfig(max_grid=50), spec=hermite)
 
 
-def test_partition_validation(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
-    with pytest.raises(DomainError):
-        oz.mc_expected_zeros(hermite, hermite_table_60, 20, 3, d, seed=0,
-                             partition=(0.5, -0.5))
+def test_partition_validation():
+    for bad in ((0.5, -0.5), (0.0, 0.0), (1.0,), ((0.0, 1.0),)):
+        with pytest.raises(DomainError):
+            mc.partition_edges(bad)
 
 
 def test_mc_reports_truncated_grid(hermite, hermite_table_60):

@@ -21,6 +21,7 @@ import orthozero as oz
 from orthozero import montecarlo as mc
 
 SCAN = 401
+CELLS_PER_SCAN = 16  # bounds the scan's basis matrices to ~20 MB at n = 200
 
 
 def _hermite_basis(s):
@@ -36,7 +37,7 @@ def audit(n, trials, law):
     table = oz.build_recurrence(spec, n + 1)
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
-    edge = mc._EDGE * info.a_n
+    edge = mc._clear_edge(oz.CountConfig(), info)
     C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n).coeffs
                   for t in range(trials)])
     P, D, expo = oz.poly_matrix(table, grid, n, derivs=True)
@@ -52,19 +53,20 @@ def audit(n, trials, law):
     h00, h10, h01, h11 = _hermite_basis(s)
     pairs = 0
     worst = 0.0
-    for t in range(trials):
-        c = cells[rows == t]
+    for k0 in range(0, rows.size, CELLS_PER_SCAN):
+        t, c = rows[k0:k0 + CELLS_PER_SCAN], cells[k0:k0 + CELLS_PER_SCAN]
         x0, x1 = grid[c], grid[c + 1]
         xs = (x0[:, None] + (x1 - x0)[:, None] * s[None, :]).ravel()
-        Ct = np.broadcast_to(C[t][:, None], (n + 1, xs.size))
-        v, d, e = mc._combo_values(table, Ct, xs, n, derivs=True)
-        v, d, e = (a.reshape(c.size, SCAN) for a in (v, d, e))
+        Ps, Ds, e = oz.poly_matrix(table, xs, n, derivs=True)
+        v = np.einsum("ij,jis->is", C[t], Ps.reshape(n + 1, c.size, SCAN))
+        d = np.einsum("ij,jis->is", C[t], Ds.reshape(n + 1, c.size, SCAN))
+        e = e.reshape(c.size, SCAN)
 
         sg = np.sign(v)
         changes = np.sum(sg[:, :-1] * sg[:, 1:] < 0, axis=1)
         for k in np.nonzero(changes)[0]:
-            assert (t, int(c[k])) in kept
-            z = zeros[t]
+            assert (int(t[k]), int(c[k])) in kept
+            z = zeros[t[k]]
             assert np.sum((z > x0[k]) & (z < x1[k])) >= changes[k]
             pairs += 1
 
@@ -76,19 +78,21 @@ def audit(n, trials, law):
              + m[:, -1:] * h11)
         big = np.maximum(np.abs(f[:, 0]), np.abs(f[:, -1]))
         resid = np.max(np.abs(f - H), axis=1) / big
-        cleared = inner & np.array([(t, int(k)) not in kept for k in c],
-                                   dtype=bool)
+        cleared = inner & np.array([(a, b) not in kept for a, b in
+                                    zip(t.tolist(), c.tolist())], dtype=bool)
         if cleared.any():
             worst = max(worst, float(np.max(resid[cleared])))
     return pairs, worst
 
 
-@pytest.mark.parametrize("n,trials,law", [(50, 100, "gaussian"),
+# trials per case: enough that each case scans at least one hidden pair
+@pytest.mark.parametrize("n,trials,law", [(50, 300, "gaussian"),
                                           (50, 100, "rademacher"),
                                           (200, 30, "gaussian"),
                                           (200, 30, "rademacher")])
 def test_dense_scan_audit(n, trials, law):
-    _, worst = audit(n, trials, law)
+    pairs, worst = audit(n, trials, law)
+    assert pairs > 0  # the kept-and-counted check ran
     assert worst < mc._EXCLUDE_MARGIN / 3
 
 
@@ -129,3 +133,30 @@ def test_slab_size_and_row_split_keep_results(monkeypatch):
         one = mc._count_and_locate(table, C[t:t + 1], grid, 60, width, False,
                                    edge)
         assert np.array_equal(one[1][0], block[1][t])
+
+
+def test_coarse_grid_subdivides_every_cell():
+    # the exclusion test is audited on the default grid step only: a coarser
+    # grid_factor and a caller's grid clear nothing, so their counts are
+    # those of subdividing every derivative-only cell
+    spec = oz.parse_weight("freud:0.5:2")
+    table = oz.build_recurrence(spec, 51)
+    info = oz.solve_mrs(spec, 51)
+    coarse = oz.CountConfig(grid_factor=0.3)
+    assert mc._clear_edge(oz.CountConfig(), info) == mc._EDGE * info.a_n
+    assert mc._clear_edge(coarse, info) == 0.0
+    d = oz.parse_dist("rademacher")
+    grid = oz.make_count_grid(spec, info, table, coarse)
+    C = np.stack([oz.sample_coeffs(d, 0, t, 50).coeffs for t in range(100)])
+    every, zeros = mc._count_and_locate(table, C, grid, 50, 1e-12 * info.a_n,
+                                        True, 0.0)
+    res = oz.mc_expected_zeros(spec, table, 50, 100, d, seed=0, cfg=coarse,
+                               info=info)
+    assert np.array_equal(res.counts, every)
+    for t in range(0, 100, 9):
+        one = oz.count_real_zeros(table, oz.sample_coeffs(d, 0, t, 50), info,
+                                  grid=grid)
+        alone = mc._count_and_locate(table, C[t:t + 1], grid, 50,
+                                     1e-12 * info.a_n, True, 0.0)
+        assert one.count == every[t]
+        assert np.array_equal(one.zeros, alone[1][0])
