@@ -86,20 +86,13 @@ def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> Coefficient
 
 @dataclass(frozen=True)
 class CountConfig:
-    """Controls for the sign-change zero counter.
-
-    The grid step inside the support is `grid_factor`/sigma_{n+1}(x)
-    (expected local zero spacing is ~ sqrt(3)/sigma); outside, the grid
-    extends geometrically until the Cauchy-type far tail of the zero
-    density, ~ 2 b_n/(pi x), drops below `tail_mass` expected zeros."""
+    """Controls for the sign-change zero counter: the grid must reach
+    `pad` * a_n to count every zero, and holds at most `max_grid` points
+    (beyond that it raises, or truncates the far tail and reports the
+    count incomplete)."""
 
     pad: float = 1.5
-    grid_factor: float = 0.1
-    tail_mass: float = 0.02
-    geo_ratio: float = 1.12
-    bisect_rel: float = 1e-12
     max_grid: int = 2_000_000
-    refine: bool = True
 
 
 @dataclass(frozen=True)
@@ -107,29 +100,52 @@ class CountResult:
     count: int
     zeros: np.ndarray
     complete: bool
-    grid_size: int
 
 
-# the inner grid, stepped at grid_factor / sigma, spans |x| <= _EDGE * a_n;
-# the geometric tail beyond it has cells far wider than a zero spacing
+# The grid step inside the support is _GRID_FACTOR / sigma_{n+1}(x) (the
+# expected local zero spacing is ~ sqrt(3)/sigma) and spans |x| <= _EDGE a_n;
+# outside, the grid grows by _GEO_RATIO per step until the Cauchy-type far
+# tail of the zero density, ~ 2 b_n/(pi x), drops below _TAIL_MASS expected
+# zeros.  Zeros are bisected to width _BISECT_REL * a_n.
+_GRID_FACTOR = 0.1
 _EDGE = 1.02
+_TAIL_MASS = 0.02
+_GEO_RATIO = 1.12
+_BISECT_REL = 1e-12
+
+_GRID_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
                     cfg: CountConfig = CountConfig()) -> np.ndarray:
-    """Evaluation grid for counting zeros of degree info.n - 1 polynomials.
+    """Evaluation grid for counting zeros of degree info.n - 1 polynomials,
+    read-only and cached on the weight content (as get_table keys it),
+    info, the table's b_n and cfg.
 
     info must be the scaling data for n + 1 (the density that sets the local
     zero spacing).  Near the support edge the step is floored at the
     edge-scaling scale a n^(-2/3), where zero spacings stop shrinking; the
     capped-step region runs a little past the edge before the geometric
     tail takes over."""
+    bn = table.b(info.n - 1)
+    key = (spec.q if spec.fingerprint is None else spec.fingerprint,
+           info, bn, cfg)
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
+        grid = _build_grid(spec, info, bn, cfg)
+        grid.flags.writeable = False
+        _GRID_CACHE[key] = grid
+    return grid
+
+
+def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float,
+                cfg: CountConfig) -> np.ndarray:
     a = info.a_n
     npl = info.n
     # density profile on a fixed fine grid, then linear interpolation
     s_grid = np.linspace(-1.0, 1.0, 2001)[1:-1]
-    sig_star = (info.delta_n / npl) * equilibrium_density_many(
-        spec, info, info.expand(s_grid), tol=1e-6 * npl)
+    sig_star = (a / npl) * equilibrium_density_many(
+        spec, info, a * s_grid, tol=1e-6 * npl)
     floor = npl ** (2.0 / 3.0) / (2.0 * a)
 
     def sigma_at(x):
@@ -140,16 +156,15 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
     pts = [-edge]
     x = -edge
     while x < edge:
-        x += cfg.grid_factor / sigma_at(x)
+        x += _GRID_FACTOR / sigma_at(x)
         pts.append(min(x, edge))
         if len(pts) > cfg.max_grid:
             raise BudgetError(f"counting grid exceeded {cfg.max_grid} points")
     inner = np.array(pts)
-    bn = table.b(npl - 1)
-    reach = max(cfg.pad * a, 4.0 * bn / (math.pi * cfg.tail_mass))
+    reach = max(cfg.pad * a, 4.0 * bn / (math.pi * _TAIL_MASS))
     tail = [edge]
     while tail[-1] < reach:
-        tail.append(tail[-1] * cfg.geo_ratio)
+        tail.append(tail[-1] * _GEO_RATIO)
     tail = np.array(tail[1:])
     # if the far tail does not fit the budget, keep a truncated window; the
     # counter reports such counts as incomplete
@@ -165,10 +180,8 @@ _SUBDIV_FAN = 6
 # interpolant of its end values and slopes stays above this fraction of the
 # larger end value; the dense-scan audit (tests/test_pair_rescue.py) finds
 # the interpolant's relative error on the cells it clears below a third of
-# it, on grids stepped at _AUDITED_GRID_FACTOR / sigma.  The error grows
-# like the fourth power of the step, so coarser grids clear nothing.
+# it, on grids stepped at _GRID_FACTOR / sigma.
 _EXCLUDE_MARGIN = 0.5
-_AUDITED_GRID_FACTOR = 0.1
 # coefficient block of one subdivision sweep
 _SLAB_BYTES = 8_000_000
 
@@ -197,13 +210,6 @@ def _grid_complete(grid: np.ndarray, info: ScalingInfo,
     return bool(grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n)
 
 
-def _clear_edge(cfg: CountConfig, info: ScalingInfo) -> float:
-    """Reach of the cells the Hermite exclusion test may clear: the inner
-    grid, |x| <= _EDGE * a_n, of a make_count_grid grid stepped at the
-    audited grid_factor or finer; 0 (clear nothing) on coarser grids."""
-    return _EDGE * info.a_n if cfg.grid_factor <= _AUDITED_GRID_FACTOR else 0.0
-
-
 def _hermite_min(f0, f1, m0, m1):
     """Minimum over s in [0, 1] of the cubic Hermite interpolant with
     values f0, f1 and slopes m0, m1 (per unit s) at s = 0, 1: the smaller
@@ -223,13 +229,14 @@ def _hermite_min(f0, f1, m0, m1):
 
 
 def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
-                  grid: np.ndarray, pf: np.ndarray, edge: float):
+                  grid: np.ndarray, pf: np.ndarray, a_n: float):
     """Rows and cells that may hide a pair of zeros: a derivative flip and
-    no value flip (Rolle), less the inner cells (both ends within `edge`)
-    whose Hermite interpolant stays above _EXCLUDE_MARGIN of the larger
-    end value.  V, Vd are the combination mantissas on the grid and expo
-    their per-point exponents; the ends of a cell are aligned to the
-    larger exponent before comparison."""
+    no value flip (Rolle), less the inner cells (both ends within
+    _EDGE * a_n) whose Hermite interpolant stays above _EXCLUDE_MARGIN of
+    the larger end value.  V, Vd are the combination mantissas on the grid
+    and expo their per-point exponents; the ends of a cell are aligned to
+    the larger exponent before comparison."""
+    edge = _EDGE * a_n
     Sd = np.sign(Vd)
     t, c = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
     x0, x1 = grid[c], grid[c + 1]
@@ -252,20 +259,20 @@ def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
     return t[keep], c[keep]
 
 
-def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
-                      n: int, width: float, refine: bool, edge: float):
-    """Shared counting core for a block of coefficient rows.
+def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
+              n: int, a_n: float):
+    """Zero counts and brackets for a block of coefficient rows.
 
     Sign changes of the combination on the grid give the base brackets.  A
     hidden pair of zeros inside a cell forces (Rolle) a sign change of the
     derivative there; such cells, less those the Hermite exclusion test
     clears (see _rescue_cells), are subdivided a few levels, every fan
     point of a level evaluated in one sweep, before being declared
-    zero-free.  `edge` bounds the cells the test may clear (_clear_edge).
+    zero-free.
 
-    Returns (counts, list of sorted zero arrays per row).
+    Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
+    sign change; a count also includes grid points where a value vanishes.
     """
-    T = C.shape[0]
     P, D, expo = poly_matrix(table, grid, n, derivs=True)
     V = C @ P
     Vd = C @ D
@@ -280,7 +287,7 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
 
     # pair-rescue subdivision of the surviving derivative-only cells, in
     # slabs that bound the repeated coefficient block
-    tj, cj = _rescue_cells(V, Vd, expo, grid, pf, edge)
+    tj, cj = _rescue_cells(V, Vd, expo, grid, pf, a_n)
     frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
     slab = max(1, _SLAB_BYTES // (8 * (n + 1) * frac.size))
     for s0 in range(0, tj.size, slab):
@@ -307,11 +314,24 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
             act_lo, act_hi = xs[ki, kj], xs[ki, kj + 1]
 
     bt = np.concatenate(br_t)
-    lo = np.concatenate(br_lo)
-    hi = np.concatenate(br_hi)
-    sl = np.concatenate(br_sl)
-    if refine and bt.size:
-        Ct = np.ascontiguousarray(C[bt].T)
+    counts = np.bincount(bt, minlength=C.shape[0]) + np.sum(S == 0, axis=1)
+    return counts, (bt, np.concatenate(br_lo), np.concatenate(br_hi),
+                    np.concatenate(br_sl))
+
+
+def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
+                     sample: CoefficientSample, info: ScalingInfo,
+                     cfg: CountConfig = CountConfig()) -> CountResult:
+    """Count real zeros of sum c_j p_j by sign changes of the weighted
+    polynomial (same zeros, no overflow) on the make_count_grid grid,
+    bracketing each change and bisecting to width _BISECT_REL * a_n."""
+    n = len(sample.coeffs) - 1
+    grid = make_count_grid(spec, info, table, cfg)
+    counts, (_, lo, hi, sl) = _brackets(table, sample.coeffs[None, :], grid,
+                                        n, info.a_n)
+    if lo.size:
+        Ct = sample.coeffs[:, None]
+        width = _BISECT_REL * info.a_n
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
@@ -321,42 +341,8 @@ def _count_and_locate(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
             hi = np.where(left, mid, hi)
             lo = np.where(left, lo, mid)
             sl = np.where(left | (sm == 0), sl, sm)
-    roots = 0.5 * (lo + hi)
-
-    per_row = np.bincount(bt, minlength=T)
-    counts = per_row + np.sum(S == 0, axis=1)
-    order = np.lexsort((roots, bt))
-    zeros = np.split(roots[order], np.cumsum(per_row)[:-1])
-    return counts, zeros
-
-
-def count_real_zeros(table: RecurrenceTable, sample: CoefficientSample,
-                     info: ScalingInfo, cfg: CountConfig = CountConfig(),
-                     spec: WeightSpec | None = None,
-                     grid: np.ndarray | None = None) -> CountResult:
-    """Count real zeros of sum c_j p_j by sign changes of the weighted
-    polynomial (same zeros, no overflow), bracketing each change and
-    bisecting to width bisect_rel * a_n.
-
-    Pass a precomputed `grid` (from make_count_grid) when running many
-    trials; otherwise `spec` is required to build one.  The exclusion test
-    of the pair rescue runs only on a grid built here: a caller's grid may
-    be coarser than the audited step, so there every cell where the
-    derivative flips and the value does not is subdivided.
-    """
-    n = len(sample.coeffs) - 1
-    edge = 0.0
-    if grid is None:
-        if spec is None:
-            raise DomainError("need either a grid or a spec to build one")
-        grid = make_count_grid(spec, info, table, cfg)
-        edge = _clear_edge(cfg, info)
-    counts, zeros = _count_and_locate(table, sample.coeffs[None, :], grid, n,
-                                      cfg.bisect_rel * info.a_n, cfg.refine,
-                                      edge)
-    return CountResult(count=int(counts[0]), zeros=zeros[0],
-                       complete=_grid_complete(grid, info, cfg),
-                       grid_size=grid.size)
+    return CountResult(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)),
+                       complete=_grid_complete(grid, info, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +424,7 @@ def interval_shares(zeros: np.ndarray, edges: np.ndarray, a_scale: float,
                     n: int) -> np.ndarray:
     """Per interval of `edges`, the share of a degree-n polynomial's zeros
     whose real parts, contracted by a_scale, fall inside it."""
-    hist, _ = np.histogram(np.sort(zeros.real) / a_scale, bins=edges)
+    hist, _ = np.histogram(zeros.real / a_scale, bins=edges)
     return hist / n
 
 
@@ -466,16 +452,12 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table, cfg)
     counts = np.zeros(trials)
-    width = cfg.bisect_rel * info.a_n
-    edge = _clear_edge(cfg, info)
     chunk = max(1, min(trials, 64_000_000 // (8 * grid.size)))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         C = np.stack([sample_coeffs(dist, seed, t, n).coeffs
                       for t in range(t0, t1)])
-        # counts are fixed before bracket refinement, so the ensemble skips it
-        counts[t0:t1], _ = _count_and_locate(table, C, grid, n, width,
-                                             refine=False, edge=edge)
+        counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))
     return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials,

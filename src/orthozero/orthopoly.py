@@ -173,6 +173,11 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if pad < 1.1:
         raise DomainError(f"pad must be >= 1.1, got {pad}")
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        raise DiscretizationError(
+            "numpy longdouble is no wider than float64 on this platform: the "
+            "Stieltjes weights exp(-2Q) would underflow once Q > ~354 and "
+            "silently truncate the measure")
     R = _support_radius(spec, n_max, pad)
     ld = np.longdouble
 

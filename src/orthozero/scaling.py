@@ -32,7 +32,7 @@ from .errors import (
     NonEvenWeightError,
     SingularityError,
 )
-from .quadrature import cheb_t_integral, cheb_t_nodes, cheb_u_rule
+from .quadrature import cheb_t_integral, cheb_t_nodes, cheb_u_rule, gl_rule
 from .weights import WeightSpec
 
 # relative node separation below which the divided difference of Q' is
@@ -44,35 +44,33 @@ _DD_GUARD = 1e-6
 class ScalingInfo:
     """Support radius and contraction map for one degree.
 
-    For even Q the support is [-a_n, a_n], beta_n = 0 and delta_n = a_n.
+    Only even Q is supported, so the support is [-a_n, a_n].
     ``residual`` is the defect of the defining equation at the returned
     radius.
     """
 
     n: int
     a_n: float
-    delta_n: float
-    beta_n: float
     residual: float
 
     def contract(self, x):
-        return (np.asarray(x, dtype=float) - self.beta_n) / self.delta_n
+        return np.asarray(x, dtype=float) / self.a_n
 
     def expand(self, s):
-        return self.beta_n + self.delta_n * np.asarray(s, dtype=float)
+        return self.a_n * np.asarray(s, dtype=float)
 
     def interval(self) -> tuple[float, float]:
-        return (self.beta_n - self.delta_n, self.beta_n + self.delta_n)
+        return (-self.a_n, self.a_n)
 
     def j_interval(self, eps: float) -> tuple[float, float]:
         """The eps-shrunk window where the kernel asymptotics are uniform."""
         if not 0 < eps < 1:
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
         lo, hi = self.interval()
-        return (lo + eps * self.delta_n, hi - eps * self.delta_n)
+        return (lo + eps * self.a_n, hi - eps * self.a_n)
 
     def rho(self, x):
-        """Square-root edge factor sqrt((x - a_-n)(a_n - x)) on the support."""
+        """Square-root edge factor sqrt((x + a_n)(a_n - x)) on the support."""
         lo, hi = self.interval()
         x = np.asarray(x, dtype=float)
         return np.sqrt(np.maximum((x - lo) * (hi - x), 0.0))
@@ -142,7 +140,7 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
             a -= step
 
     residual = obj(a) - n
-    return ScalingInfo(n=n, a_n=a, delta_n=a, beta_n=0.0, residual=residual)
+    return ScalingInfo(n=n, a_n=a, residual=residual)
 
 
 def _divided_difference(spec: WeightSpec, s, x, scale: float):
@@ -185,12 +183,12 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
 
 def normalized_density_many(spec: WeightSpec, info: ScalingInfo, s,
                             tol: float = 1e-8) -> np.ndarray:
-    """sigma_n*(s) = (delta_n/n) sigma_n(L_n^{-1}(s)) for |s| < 1."""
+    """sigma_n*(s) = (a_n/n) sigma_n(a_n s) for |s| < 1."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(np.abs(s) >= 1.0):
         raise DomainError("normalized density needs |s| < 1")
-    inner_tol = tol * info.n / info.delta_n
-    return (info.delta_n / info.n) * equilibrium_density_many(
+    inner_tol = tol * info.n / info.a_n
+    return (info.a_n / info.n) * equilibrium_density_many(
         spec, info, info.expand(s), tol=inner_tol)
 
 
@@ -230,7 +228,7 @@ def sigma_curve(spec: WeightSpec, info: ScalingInfo, tol: float = 1e-8,
 def sigma_star_curve(spec: WeightSpec, info: ScalingInfo, tol: float = 1e-8,
                      m: int = 512) -> DensityCurve:
     inner = sigma_curve(spec, info, tol=tol * info.n, m=m)
-    scale = info.delta_n / info.n
+    scale = info.a_n / info.n
     return DensityCurve(x=info.contract(inner.x), values=scale * inner.values,
                         mass=inner.mass / info.n,
                         err_estimate=inner.err_estimate / info.n,
@@ -405,8 +403,6 @@ def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
     if math.isinf(alpha):
         return (np.arcsin(np.clip(xs, -1.0, 1.0)) + np.pi / 2.0) / np.pi
     b = np.clip(np.abs(xs), 0.0, 1.0)[:, None]
-    from .quadrature import gl_rule
-
     ug, wg = gl_rule(100)
     cut = np.minimum(0.5, np.maximum(5.0 * b, 0.02))
     out = np.zeros_like(b)

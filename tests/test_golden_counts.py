@@ -2,9 +2,8 @@
 
 The hashes were captured with the blanket pair-rescue subdivision (every
 cell with a derivative flip and no value flip subdivided 3 levels deep);
-the Hermite exclusion test must find exactly the same brackets on the
-default grid, so the ensemble counts and the refined zero locations stay
-bit for bit the same.
+the Hermite exclusion test must find exactly the same brackets, so the
+ensemble counts and the refined zero locations stay bit for bit the same.
 Tables come from `build_recurrence` rather than the shared `get_table`
 cache, whose answer depends on which table was cached first.
 """
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 import orthozero as oz
-from orthozero import montecarlo as mc
 
 COUNT_SHA256 = {
     (50, "gaussian"):
@@ -55,20 +53,16 @@ def counts_digest(n, law):
     return hashlib.sha256(res.counts.tobytes()).hexdigest()
 
 
-def zeros_digest(n, law, monkeypatch):
+def zeros_digest(n, law):
     """sha256 over the refined zero locations of trials 0..39 at seed 0,
     each trial's array prefixed by its length."""
     spec = oz.parse_weight("freud:0.5:2")
     table = _table(n)
     info = oz.solve_mrs(spec, n + 1)
-    grid = oz.make_count_grid(spec, info, table)
-    # count_real_zeros runs the exclusion test only on a grid it builds
-    # itself; serve it this one rather than rebuilding it for every trial
-    monkeypatch.setattr(mc, "make_count_grid", lambda *args: grid)
     h = hashlib.sha256()
     for t in range(40):
         s = oz.sample_coeffs(oz.parse_dist(law), 0, t, n)
-        z = oz.count_real_zeros(table, s, info, spec=spec).zeros
+        z = oz.count_real_zeros(spec, table, s, info).zeros
         h.update(np.int64(z.size).tobytes())
         h.update(z.tobytes())
     return h.hexdigest()
@@ -80,5 +74,5 @@ def test_golden_counts(n, law):
 
 
 @pytest.mark.parametrize("n,law", sorted(ZERO_SHA256))
-def test_golden_zero_locations(n, law, monkeypatch):
-    assert zeros_digest(n, law, monkeypatch) == ZERO_SHA256[(n, law)]
+def test_golden_zero_locations(n, law):
+    assert zeros_digest(n, law) == ZERO_SHA256[(n, law)]

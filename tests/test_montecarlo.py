@@ -55,7 +55,7 @@ def test_linear_sample_one_zero(hermite, hermite_table_60):
     d = oz.parse_dist("gaussian")
     info2 = oz.solve_mrs(hermite, 2)
     s = oz.sample_coeffs(d, 0, 0, 1)
-    res = oz.count_real_zeros(hermite_table_60, s, info2, spec=hermite)
+    res = oz.count_real_zeros(hermite, hermite_table_60, s, info2)
     assert res.count == 1
     # closed form: c0 p0 + c1 p1 = 0 at b_1 * (-c0/c1) for the even table
     z = oz.all_zeros(hermite_table_60, s)
@@ -106,12 +106,11 @@ def test_all_zeros_degree_reduction(hermite_table_60):
 def test_zero_scale_invariance(hermite, hermite_table_60):
     d = oz.parse_dist("gaussian")
     info = oz.solve_mrs(hermite, 31)
-    grid = oz.make_count_grid(hermite, info, hermite_table_60)
     s = oz.sample_coeffs(d, 17, 0, 30)
     # binary scales propagate exactly through every float operation
     s_pow2 = oz.CoefficientSample(d, 17, 0, 4.0 * s.coeffs)
-    r1 = oz.count_real_zeros(hermite_table_60, s, info, grid=grid)
-    r2 = oz.count_real_zeros(hermite_table_60, s_pow2, info, grid=grid)
+    r1 = oz.count_real_zeros(hermite, hermite_table_60, s, info)
+    r2 = oz.count_real_zeros(hermite, hermite_table_60, s_pow2, info)
     assert r1.count == r2.count
     assert np.array_equal(r1.zeros, r2.zeros)
     z1 = np.sort_complex(oz.all_zeros(hermite_table_60, s))
@@ -119,7 +118,7 @@ def test_zero_scale_invariance(hermite, hermite_table_60):
     assert np.array_equal(z1, z2)
     # arbitrary positive scales keep the count
     s_odd = oz.CoefficientSample(d, 17, 0, 3.7 * s.coeffs)
-    r3 = oz.count_real_zeros(hermite_table_60, s_odd, info, grid=grid)
+    r3 = oz.count_real_zeros(hermite, hermite_table_60, s_odd, info)
     assert r3.count == r1.count
 
 
@@ -134,7 +133,7 @@ def test_sign_count_matches_eigen_count(hermite, hermite_table_60, n):
     worst = 0
     for t in range(100):
         s = oz.sample_coeffs(d, 99, t, n)
-        res = oz.count_real_zeros(hermite_table_60, s, info, grid=grid)
+        res = oz.count_real_zeros(hermite, hermite_table_60, s, info)
         z = oz.all_zeros(hermite_table_60, s)
         realz = z.real[np.abs(z.imag) <= 1e-8 * info_n.a_n]
         n_eig = int(np.sum(np.abs(realz) <= window))
@@ -188,7 +187,7 @@ def test_ks_quantile_construction():
     n = 200
     qs = (np.arange(1, n + 1) - 0.5) / n
     pts = np.array([_ullman_quantile(2.0, q) for q in qs])
-    info = oz.ScalingInfo(n=n, a_n=1.0, delta_n=1.0, beta_n=0.0, residual=0.0)
+    info = oz.ScalingInfo(n=n, a_n=1.0, residual=0.0)
     m = oz.empirical_measure(pts.astype(complex), info)
     assert oz.ks_to_ullman(m, 2.0) <= 1.0 / (2.0 * n) + 1e-6
 
@@ -204,7 +203,7 @@ def _ullman_quantile(alpha, q, lo=-1.0, hi=1.0):
 
 
 def test_ks_degenerate_measure():
-    info = oz.ScalingInfo(n=5, a_n=1.0, delta_n=1.0, beta_n=0.0, residual=0.0)
+    info = oz.ScalingInfo(n=5, a_n=1.0, residual=0.0)
     m = oz.empirical_measure(np.zeros(5, dtype=complex), info)
     assert oz.ks_to_ullman(m, 2.0) == pytest.approx(0.5, abs=1e-9)
     assert oz.ks_to_ullman(m, math.inf) == pytest.approx(0.5, abs=1e-9)
@@ -234,9 +233,8 @@ def test_mc_batching_matches_per_trial(hermite, hermite_table_60):
     d = oz.parse_dist("gaussian")
     res = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 25, d, seed=9)
     info = oz.solve_mrs(hermite, 41)
-    grid = oz.make_count_grid(hermite, info, hermite_table_60)
     singles = [oz.count_real_zeros(
-        hermite_table_60, oz.sample_coeffs(d, 9, t, 40), info, grid=grid).count
+        hermite, hermite_table_60, oz.sample_coeffs(d, 9, t, 40), info).count
         for t in range(25)]
     assert np.array_equal(res.counts, np.array(singles, dtype=float))
 
@@ -245,11 +243,10 @@ def test_mc_zero_locations_symmetric(hermite, hermite_table_60):
     # even weight: the mean zero location across trials sits at zero
     d = oz.parse_dist("gaussian")
     info = oz.solve_mrs(hermite, 51)
-    grid = oz.make_count_grid(hermite, info, hermite_table_60)
     means = []
     for t in range(200):
         s = oz.sample_coeffs(d, 31, t, 50)
-        res = oz.count_real_zeros(hermite_table_60, s, info, grid=grid)
+        res = oz.count_real_zeros(hermite, hermite_table_60, s, info)
         if res.zeros.size:
             means.append(res.zeros.mean())
     m = np.mean(means)
@@ -287,18 +284,17 @@ def test_grid_budget_partial_flag(hermite, hermite_table_60):
     d = oz.parse_dist("gaussian")
     info = oz.solve_mrs(hermite, 31)
     s = oz.sample_coeffs(d, 0, 0, 30)
-    full = oz.count_real_zeros(hermite_table_60, s, info, spec=hermite)
+    full = oz.count_real_zeros(hermite, hermite_table_60, s, info)
     assert full.complete
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     n_inner = int(np.sum(np.abs(grid) <= 1.03 * info.a_n))
     tight = oz.CountConfig(max_grid=n_inner + 4)
-    res = oz.count_real_zeros(hermite_table_60, s, info, cfg=tight,
-                              spec=hermite)
+    res = oz.count_real_zeros(hermite, hermite_table_60, s, info, cfg=tight)
     assert not res.complete
     assert res.count <= full.count
     with pytest.raises(BudgetError):
-        oz.count_real_zeros(hermite_table_60, s, info,
-                            cfg=oz.CountConfig(max_grid=50), spec=hermite)
+        oz.count_real_zeros(hermite, hermite_table_60, s, info,
+                            cfg=oz.CountConfig(max_grid=50))
 
 
 def test_partition_validation():
@@ -328,6 +324,31 @@ def test_mc_degree_beyond_table(freud14):
         oz.mc_expected_zeros(freud14, tab, 41, 2, d, seed=0)
     s = oz.sample_coeffs(d, 0, 0, 41)
     info = oz.solve_mrs(freud14, 41)
-    grid = oz.make_count_grid(freud14, info, tab)
     with pytest.raises(DomainError):
-        oz.count_real_zeros(tab, s, info, grid=grid)
+        oz.count_real_zeros(freud14, tab, s, info)
+
+
+def test_count_grid_cache(hermite, hermite_table_60):
+    # one grid per weight content, scaling data, table b_n and config,
+    # built once and shared read-only
+    info = oz.solve_mrs(hermite, 41)
+    grid = oz.make_count_grid(hermite, info, hermite_table_60)
+    assert oz.make_count_grid(oz.parse_weight("freud:0.5:2"),
+                              oz.solve_mrs(hermite, 41),
+                              hermite_table_60) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    small = oz.make_count_grid(hermite, info, hermite_table_60,
+                               oz.CountConfig(max_grid=grid.size - 10))
+    assert small is not grid and small.size < grid.size
+    # custom weights key on their Q, never on the shared label
+    w1, w2 = (oz.make_custom(q=lambda x, c=c: c * x**2,
+                             q1=lambda x, c=c: 2.0 * c * x,
+                             q2=lambda x, c=c: 2.0 * c + 0.0 * x,
+                             even=True, alpha=2.0, label="w")
+              for c in (0.5, 2.0))
+    g1 = oz.make_count_grid(w1, info, hermite_table_60)
+    g2 = oz.make_count_grid(w2, info, hermite_table_60)
+    assert g2.size > g1.size  # four times the density, a finer step
+    assert oz.make_count_grid(w1, info, hermite_table_60) is g1

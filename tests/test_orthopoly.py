@@ -6,7 +6,7 @@ from scipy.special import gammaln, roots_hermite
 
 import orthozero as oz
 from orthozero import orthopoly
-from orthozero.errors import DomainError
+from orthozero.errors import DiscretizationError, DomainError
 
 
 def test_hermite_recurrence_oracle(hermite_table_60):
@@ -252,3 +252,13 @@ def test_build_rejects_bad_arguments(hermite):
         oz.build_recurrence(hermite, 0)
     with pytest.raises(DomainError):
         oz.build_recurrence(hermite, 10, pad=1.0)
+
+
+def test_build_rejects_float64_longdouble(hermite, monkeypatch):
+    # where longdouble is plain double (aarch64 macOS, MSVC) the weights
+    # underflow inside the mesh; the build must refuse, not truncate
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: finfo(
+        np.float64 if t is np.longdouble else t))
+    with pytest.raises(DiscretizationError, match="longdouble"):
+        oz.build_recurrence(hermite, 10)

@@ -37,7 +37,7 @@ def audit(n, trials, law):
     table = oz.build_recurrence(spec, n + 1)
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
-    edge = mc._clear_edge(oz.CountConfig(), info)
+    edge = mc._EDGE * info.a_n
     C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n).coeffs
                   for t in range(trials)])
     P, D, expo = oz.poly_matrix(table, grid, n, derivs=True)
@@ -46,8 +46,8 @@ def audit(n, trials, law):
     pf = S[:, :-1] * S[:, 1:] < 0
     rows, cells = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
     kept = set(zip(*(a.tolist() for a in
-                     mc._rescue_cells(V, Vd, expo, grid, pf, edge))))
-    _, zeros = mc._count_and_locate(table, C, grid, n, 1.0, False, edge)
+                     mc._rescue_cells(V, Vd, expo, grid, pf, info.a_n))))
+    _, (bt, lo, hi, _) = mc._brackets(table, C, grid, n, info.a_n)
 
     s = np.linspace(0.0, 1.0, SCAN)
     h00, h10, h01, h11 = _hermite_basis(s)
@@ -66,8 +66,8 @@ def audit(n, trials, law):
         changes = np.sum(sg[:, :-1] * sg[:, 1:] < 0, axis=1)
         for k in np.nonzero(changes)[0]:
             assert (int(t[k]), int(c[k])) in kept
-            z = zeros[t[k]]
-            assert np.sum((z > x0[k]) & (z < x1[k])) >= changes[k]
+            inside = (bt == t[k]) & (lo >= x0[k]) & (hi <= x1[k])
+            assert np.sum(inside) >= changes[k]
             pairs += 1
 
         inner = (np.abs(x0) <= edge) & (np.abs(x1) <= edge)
@@ -111,6 +111,12 @@ def test_hermite_min_matches_dense_minimum():
     assert np.max(dense - low) <= 1e-6
 
 
+def _sorted(br):
+    """Brackets (rows, lo, hi, sign at lo) ordered by row, then lo."""
+    order = np.lexsort((br[1], br[0]))
+    return [a[order] for a in br]
+
+
 def test_slab_size_and_row_split_keep_results(monkeypatch):
     spec = oz.parse_weight("freud:0.5:2")
     table = oz.build_recurrence(spec, 61)
@@ -118,45 +124,17 @@ def test_slab_size_and_row_split_keep_results(monkeypatch):
     grid = oz.make_count_grid(spec, info, table)
     C = np.stack([oz.sample_coeffs(oz.parse_dist("rademacher"), 0, t, 60).coeffs
                   for t in range(40)])
-    edge = mc._EDGE * info.a_n
-    width = 1e-12 * info.a_n
-    whole = mc._count_and_locate(table, C, grid, 60, width, True, edge)
+    counts, whole = mc._brackets(table, C, grid, 60, info.a_n)
     monkeypatch.setattr(mc, "_SLAB_BYTES", 1)  # one cell per slab
-    sliced = mc._count_and_locate(table, C, grid, 60, width, True, edge)
-    assert np.array_equal(whole[0], sliced[0])
-    assert all(np.array_equal(a, b) for a, b in zip(whole[1], sliced[1]))
-    # the per-row split of a block matches counting each row alone; the
-    # bracket midpoints, since the bisection depth follows the widest
-    # bracket of the block
-    block = mc._count_and_locate(table, C, grid, 60, width, False, edge)
+    sliced_counts, sliced = mc._brackets(table, C, grid, 60, info.a_n)
+    assert np.array_equal(counts, sliced_counts)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_sorted(whole), _sorted(sliced)))
+    # a row's brackets do not depend on the rows that share its block
+    whole = _sorted(whole)
     for t in range(0, 40, 7):
-        one = mc._count_and_locate(table, C[t:t + 1], grid, 60, width, False,
-                                   edge)
-        assert np.array_equal(one[1][0], block[1][t])
-
-
-def test_coarse_grid_subdivides_every_cell():
-    # the exclusion test is audited on the default grid step only: a coarser
-    # grid_factor and a caller's grid clear nothing, so their counts are
-    # those of subdividing every derivative-only cell
-    spec = oz.parse_weight("freud:0.5:2")
-    table = oz.build_recurrence(spec, 51)
-    info = oz.solve_mrs(spec, 51)
-    coarse = oz.CountConfig(grid_factor=0.3)
-    assert mc._clear_edge(oz.CountConfig(), info) == mc._EDGE * info.a_n
-    assert mc._clear_edge(coarse, info) == 0.0
-    d = oz.parse_dist("rademacher")
-    grid = oz.make_count_grid(spec, info, table, coarse)
-    C = np.stack([oz.sample_coeffs(d, 0, t, 50).coeffs for t in range(100)])
-    every, zeros = mc._count_and_locate(table, C, grid, 50, 1e-12 * info.a_n,
-                                        True, 0.0)
-    res = oz.mc_expected_zeros(spec, table, 50, 100, d, seed=0, cfg=coarse,
-                               info=info)
-    assert np.array_equal(res.counts, every)
-    for t in range(0, 100, 9):
-        one = oz.count_real_zeros(table, oz.sample_coeffs(d, 0, t, 50), info,
-                                  grid=grid)
-        alone = mc._count_and_locate(table, C[t:t + 1], grid, 50,
-                                     1e-12 * info.a_n, True, 0.0)
-        assert one.count == every[t]
-        assert np.array_equal(one.zeros, alone[1][0])
+        one_count, one = mc._brackets(table, C[t:t + 1], grid, 60, info.a_n)
+        mine = whole[0] == t
+        assert one_count[0] == counts[t]
+        assert all(np.array_equal(a, b[mine])
+                   for a, b in zip(_sorted(one)[1:], whole[1:]))

@@ -26,8 +26,6 @@ def test_mrs_half_gaussian_exact(hermite):
     for n in (8, 50, 501):
         info = oz.solve_mrs(hermite, n)
         assert info.a_n == pytest.approx(math.sqrt(2.0 * n), rel=1e-12)
-        assert info.beta_n == 0.0
-        assert info.delta_n == info.a_n
 
 
 def test_mrs_monotone_in_n(freud14):
