@@ -30,4 +30,9 @@ class DiscretizationError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A refinement budget was exhausted before reaching the tolerance."""
+    """A refinement budget was exhausted before reaching the tolerance;
+    `partial` (the salvaged estimate) and `panels` are None if not known."""
+
+    def __init__(self, message, partial=None, panels=None):
+        super().__init__(message)
+        self.partial, self.panels = partial, panels

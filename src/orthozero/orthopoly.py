@@ -9,15 +9,16 @@ The three-term recurrence in orthonormal form is
     b_{k+1} p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x),
 
 with p_0 = gamma_0 = 1/sqrt(m_0) and leading coefficients
-gamma_k = gamma_0 / prod_{j<=k} b_j.  Only even weights are supported, so
-every a_k vanishes and none is stored.
+gamma_k = gamma_0 / prod_{j<=k} b_j.  Only even weights are supported
+(solve_mrs refuses the others), so p_k has parity (-1)^k, no a_k is stored
+(all vanish), and on a mesh symmetric about the origin the Stieltjes
+iteration needs only the positive half: the rest is its mirror image.
 
-The Stieltjes iteration runs in extended precision: the discretized measure
-exp(-2Q) underflows double precision well inside the support needed once
-the degree reaches a few hundred, which would silently truncate the measure
-and corrupt the high-order coefficients.  Coefficients are stored in double
-precision; leading coefficients are kept in log form as well, since
-gamma_k itself underflows for large k.
+The iteration runs in extended precision: exp(-2Q) underflows double
+precision well inside the support that degrees of a few hundred need, which
+would silently truncate the measure and corrupt the high-order
+coefficients.  Coefficients are stored in double precision, leading
+coefficients also in log form, since gamma_k itself underflows for large k.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def _support_radius(spec: WeightSpec, n_max: int, pad: float) -> float:
 
 def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
           grade_levels: int):
-    """Composite Gauss-Legendre panels on [-R, R], geometrically graded
-    toward 0 (where Q'' may blow up) and symmetric about the origin."""
+    """Nodes and weights of composite Gauss-Legendre panels on [0, R],
+    geometrically graded toward 0 (where Q'' may blow up): the positive half
+    of a mesh on [-R, R] that is symmetric about the origin."""
     ld = np.longdouble
     xg, wg = gl_rule(order)
     xg = xg.astype(ld)
@@ -111,29 +113,30 @@ def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
     lo, hi = edges[:-1], edges[1:]
     mid = (lo + hi) / 2
     half = (hi - lo) / 2
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    return (np.concatenate([-nodes[::-1], nodes]),
-            np.concatenate([wts[::-1], wts]))
+    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
+            (half[:, None] * wg[None, :]).ravel())
 
 
 def _stieltjes(nodes, w2w, n_max: int):
-    """Lanczos form of the Stieltjes procedure on the discrete measure.
-    Returns (b_1..b_n_max, gamma_0) in the dtype of the inputs."""
-    m0 = np.sum(w2w)
-    q = np.sqrt(w2w / m0)
+    """Lanczos form of the Stieltjes procedure for the even measure with
+    mass w2w at each of +nodes and -nodes; returns (b_1..b_n_max, gamma_0)
+    in the dtype of the inputs.  The k-th Lanczos vector has parity (-1)^k:
+    its diagonal term is exactly zero and its full-mesh dots are twice the
+    half-mesh ones, so with g_0 normalised on the half mesh the iteration
+    v = x g_k - b_k g_{k-1}, b_{k+1} = |v|, g_{k+1} = v / b_{k+1} runs on
+    the positive nodes alone."""
+    half_mass = np.sum(w2w)
+    g = np.sqrt(w2w / half_mass)
+    g_prev = np.zeros_like(g)
     b = np.zeros(n_max + 1, dtype=nodes.dtype)
-    q_prev = np.zeros_like(q)
     for k in range(1, n_max + 1):
-        v = nodes * q - b[k - 1] * q_prev
-        v -= (q @ v) * q  # even weight: diagonal term is zero, this removes drift
-        bk = np.sqrt(v @ v)
+        v = nodes * g - b[k - 1] * g_prev
+        bk = np.sqrt(np.dot(v, v))  # same bits as v @ v, ~2.5x faster
         if not bk > 0:
             raise DiscretizationError(f"Stieltjes breakdown at step {k}")
         b[k] = bk
-        q_prev = q
-        q = v / bk
-    return b[1:], 1.0 / np.sqrt(m0)
+        g_prev, g = g, v / bk
+    return b[1:], 1.0 / np.sqrt(2 * half_mass)
 
 
 def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
@@ -143,14 +146,9 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
     n_check = min(table.n_max, 256)
     nodes, wts = _mesh(R, int(1.37 * n_target) | 1, order=31,
                        grade_ratio=0.4, grade_levels=24)
-    x = nodes.astype(float)
-    lw = wts.astype(float)
-    T = np.empty((n_check + 1, x.size))
-    for k, (p, _, big, expo) in enumerate(_sweep(table, x, n_check,
-                                                 derivs=False)):
-        if big is not None:
-            T[:k, big] /= _SCALE
-        T[k] = p
+    x = np.concatenate([-nodes[::-1], nodes]).astype(float)
+    lw = np.concatenate([wts[::-1], wts]).astype(float)
+    T, _, expo = poly_matrix(table, x, n_check)
     qx = np.asarray(spec.q(x), dtype=float)
     scale = np.exp(expo * math.log(2.0) - qx)  # p_j W = mantissa * scale
     Tw = T * (scale * np.sqrt(np.maximum(lw, 0.0)))[None, :]
@@ -179,14 +177,12 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
             "Stieltjes weights exp(-2Q) would underflow once Q > ~354 and "
             "silently truncate the measure")
     R = _support_radius(spec, n_max, pad)
-    ld = np.longdouble
-
     n_target = max(1200, 16 * n_max)
     prev = None
     while n_target <= max_nodes:
         nodes, wts = _mesh(R, n_target, order=24, grade_ratio=0.5,
                            grade_levels=30)
-        w2w = np.exp(ld(-2) * spec.q(nodes)) * wts
+        w2w = np.exp(np.longdouble(-2) * spec.q(nodes)) * wts
         off_ld, gamma0_ld = _stieltjes(nodes, w2w, n_max)
         if prev is not None and np.max(
                 np.abs(off_ld / prev - 1)).astype(float) < 1e-13:

@@ -81,10 +81,10 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
         mid = 0.5 * (los + his)
         half = 0.5 * (his - los)
         x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        y = f(x)
+        y = np.asarray(f(x), dtype=float)
         xs_all.append(x)
-        fs_all.append(np.asarray(y, dtype=float))
-        return (np.asarray(y, dtype=float).reshape(len(los), order) * wg).sum(1) * half
+        fs_all.append(y)
+        return (y.reshape(len(los), order) * wg).sum(1) * half
 
     edges = [lo, hi] if presplit is None else sorted({lo, hi, *(
         p for p in presplit if lo < p < hi)})
@@ -96,12 +96,10 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
     n_panels = len(work)
     span = hi - lo
     while work:
-        los = np.array([w[0] for w in work])
-        his = np.array([w[1] for w in work])
+        los, his, parents = (np.array(col) for col in zip(*work))
         mids = 0.5 * (los + his)
         left = panel_values(los, mids)
         right = panel_values(mids, his)
-        parents = np.array([w[2] for w in work])
         errs = np.abs(left + right - parents)
         next_work = []
         for i in range(len(work)):
@@ -117,8 +115,7 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
             total += sum(w[2] for w in next_work)
             raise BudgetError(
                 f"adaptive quadrature exceeded {max_panels} panels "
-                f"(partial value {total:.6g})"
-            )
+                f"(partial value {total:.6g})", partial=total, panels=n_panels)
         work = next_work
 
     x = np.concatenate(xs_all)

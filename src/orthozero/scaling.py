@@ -91,7 +91,8 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
     """Solve for the radius a_n of an even weight.
 
     Brackets by doubling from a = 1, bisects to relative width 1e-13, then
-    applies one Newton polish using the differentiated integrand.  `tol`
+    tries one Newton polish using the differentiated integrand, kept only
+    when it leaves the defect no larger than at the midpoint.  `tol`
     bounds the equation defect relative to n (the equation's own scale;
     float evaluation noise alone is ~1e-13 n).
     """
@@ -119,7 +120,6 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
         lo /= 2.0
     else:
         raise BracketError(f"could not bracket n = {n} from below")
-    assert obj(lo) <= n <= obj(hi)
 
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
@@ -128,6 +128,7 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
         else:
             hi = mid
     a = 0.5 * (lo + hi)
+    residual = obj(a) - n
 
     # Newton polish: d/da [a t Q'(a t)] = t Q'(a t) + a t^2 Q''(a t)
     m = 4096
@@ -135,11 +136,12 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
     deriv = float(np.mean(np.asarray(spec.q1(a * t), dtype=float) * t
                           + a * t * t * np.asarray(spec.q2(a * t), dtype=float)))
     if deriv > 0:
-        step = (obj(a) - n) / deriv
+        step = residual / deriv
         if abs(step) < 0.1 * a:
-            a -= step
+            polished = obj(a - step) - n
+            if abs(polished) <= abs(residual):
+                a, residual = a - step, polished
 
-    residual = obj(a) - n
     return ScalingInfo(n=n, a_n=a, residual=residual)
 
 

@@ -16,6 +16,33 @@ def test_hermite_recurrence_oracle(hermite_table_60):
     assert hermite_table_60.gamma0 == pytest.approx(np.pi ** -0.25, rel=1e-13)
 
 
+def test_hermite_oracle_whole_big_table(hermite):
+    # every b_k of the largest table the package builds, not only b_1..b_60;
+    # k/2 is exact in binary, so np.sqrt gives the correctly rounded sqrt(k/2)
+    tab = oz.build_recurrence(hermite, 1001)
+    exact = np.sqrt(np.arange(1, 1002) / 2.0)
+    assert np.max(np.abs(tab.off_diag / exact - 1.0)) <= 4.5e-16
+    assert np.count_nonzero(tab.off_diag == exact) >= 893
+
+
+def test_quartic_freud_equation_oracle(freud14):
+    # Freud's equation for W^2 = exp(-2c x^4) (Freud 1976; Nevai 1983):
+    #   8c b_n^2 (b_{n-1}^2 + b_n^2 + b_{n+1}^2) = n,
+    # run forward from b_0 = 0 and b_1^2 = m_2/m_0 = G(3/4)/(G(1/4) sqrt(2c)).
+    # The forward recursion loses digits geometrically, hence 400 digits
+    # (800 give the same b_1..b_501).
+    mpmath = pytest.importorskip("mpmath")
+    c, n_max = 1, 501
+    tab = oz.get_table(freud14, n_max)
+    with mpmath.workdps(400):
+        b2 = [mpmath.mpf(0), mpmath.gamma(0.75) / (mpmath.gamma(0.25)
+                                                   * mpmath.sqrt(2 * c))]
+        for n in range(1, n_max):
+            b2.append(n / (8 * c * b2[n]) - b2[n - 1] - b2[n])
+        oracle = np.array([float(mpmath.sqrt(v)) for v in b2[1:]])
+    assert np.max(np.abs(tab.off_diag[:n_max] / oracle - 1.0)) <= 1e-14
+
+
 def test_even_weight_diagonal_exactly_zero(hermite_table_60, freud14):
     # a_k = 0 makes p_k(-x) = (-1)^k p_k(x), exactly in floating point
     x = np.array([0.3, 1.7, 4.0, 250.0])

@@ -28,6 +28,21 @@ def test_mrs_half_gaussian_exact(hermite):
         assert info.a_n == pytest.approx(math.sqrt(2.0 * n), rel=1e-12)
 
 
+def test_mrs_polish_never_worse_than_bisection():
+    # Q = x^2/2 with a wrong Q'' = -0.9: the Newton step comes out 20x too
+    # long.  A Q'' that makes the derivative negative skips the polish, so
+    # that weight returns the bisection midpoint itself.
+    def half_gaussian(q2):
+        return oz.make_custom(q=lambda x: 0.5 * x**2, q1=lambda x: 1.0 * x,
+                              q2=lambda x: q2 + 0.0 * x,
+                              even=True, alpha=2.0, label=f"q2={q2}")
+    for n in (7, 100, 1000):
+        bisected = oz.solve_mrs(half_gaussian(-1e6), n)
+        polished = oz.solve_mrs(half_gaussian(-0.9), n)
+        assert bisected.residual != 0.0
+        assert abs(polished.residual) <= abs(bisected.residual)
+
+
 def test_mrs_monotone_in_n(freud14):
     radii = [oz.solve_mrs(freud14, n).a_n for n in range(1, 13)]
     assert all(b > a for a, b in zip(radii, radii[1:]))
