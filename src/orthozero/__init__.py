@@ -23,7 +23,6 @@ from .kac import (
 )
 from .montecarlo import (
     CoeffDist,
-    CoefficientSample,
     CountConfig,
     CountResult,
     EmpiricalMeasure,
@@ -31,6 +30,7 @@ from .montecarlo import (
     all_zeros,
     comrade_matrix,
     count_real_zeros,
+    eigen_measures,
     empirical_measure,
     ks_to_ullman,
     make_count_grid,

@@ -102,14 +102,9 @@ def _eigen_measures(key: str, n: int, trials: int, seed: int):
     tag = ("eig", key, n, trials, seed)
     if tag not in _cache:
         spec, tab = _table(key, 501)
-        info = scaling.solve_mrs(spec, n)
-        dist = montecarlo.CoeffDist("gaussian")
-        ms = []
-        for t in range(trials):
-            s = montecarlo.sample_coeffs(dist, seed, t, n)
-            z = montecarlo.all_zeros(tab, s)
-            ms.append(montecarlo.empirical_measure(z, info))
-        _cache[tag] = ms
+        _cache[tag] = montecarlo.eigen_measures(
+            tab, scaling.solve_mrs(spec, n), montecarlo.CoeffDist("gaussian"),
+            seed, trials)
     return _cache[tag]
 
 

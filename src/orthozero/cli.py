@@ -67,6 +67,8 @@ def cmd_mrs(ns) -> int:
 
 
 def cmd_density(ns) -> int:
+    if ns.points < 1:
+        raise DomainError(f"--points must be >= 1, got {ns.points}")
     spec = weights.parse_weight(ns.weight)
     info = scaling.solve_mrs(spec, ns.n)
     s = np.linspace(-1.0, 1.0, ns.points + 2)[1:-1]
@@ -95,6 +97,8 @@ def cmd_recurrence(ns) -> int:
 
 
 def cmd_kac(ns) -> int:
+    if not ns.full_line and ns.interval is None:
+        raise DomainError("kac needs --interval LO HI or --full-line")
     if ns.basis == "monomial":
         if ns.scaled:
             raise DomainError("--scaled applies to the orthonormal basis")
@@ -105,7 +109,7 @@ def cmd_kac(ns) -> int:
         table = orthopoly.get_table(spec, ns.n + 1)
         info = scaling.solve_mrs(spec, ns.n + 1)
         if ns.scaled:
-            if ns.full_line or ns.interval is None:
+            if ns.full_line:
                 raise DomainError("--scaled needs --interval inside (-1, 1)")
             val = kac.scaled_expected_zeros(
                 spec, table, ns.n, ns.interval[0], ns.interval[1], tol=ns.tol)
@@ -132,28 +136,18 @@ def cmd_simulate(ns) -> int:
     table = orthopoly.get_table(spec, ns.n)
     edges = montecarlo.partition_edges(ns.partition) if ns.partition else None
     # the partition shares come from the same eigenvalues as the KS statistic
+    ms = montecarlo.eigen_measures(table, scaling.solve_mrs(spec, ns.n), dist,
+                                   ns.seed, ns.trials, ns.imag_tol)
     res = montecarlo.mc_expected_zeros(spec, table, ns.n, ns.trials, dist,
                                        ns.seed)
-    info_n = scaling.solve_mrs(spec, ns.n)
-    imag_tol = ns.imag_tol if ns.imag_tol is not None else 1e-8 * info_n.a_n
-    ks_vals = []
-    cfrac = []
-    shares = []
-    for t in range(ns.trials):
-        s = montecarlo.sample_coeffs(dist, ns.seed, t, ns.n)
-        z = montecarlo.all_zeros(table, s)
-        m = montecarlo.empirical_measure(z, info_n, imag_tol=imag_tol)
-        ks_vals.append(montecarlo.ks_to_ullman(m, spec.alpha))
-        cfrac.append(m.complex_count / m.total)
-        if edges is not None:
-            shares.append(montecarlo.interval_shares(z, edges, info_n.a_n,
-                                                     ns.n))
     rows = ["trial,count"]
     rows += [f"{t},{int(c)}" for t, c in enumerate(res.counts)]
     summary = {
-        "complex_fraction_mean": float(np.mean(cfrac)),
-        "imag_tol": imag_tol,
-        "ks_mean": float(np.mean(ks_vals)),
+        "complex_fraction_mean": float(np.mean([m.complex_count / m.total
+                                                for m in ms])),
+        "imag_tol": ms[0].imag_tol,
+        "ks_mean": float(np.mean([montecarlo.ks_to_ullman(m, spec.alpha)
+                                  for m in ms])),
         "mean": res.mean,
         "seed": ns.seed,
         "stderr": res.stderr,
@@ -161,8 +155,8 @@ def cmd_simulate(ns) -> int:
     }
     if edges is not None:
         summary["partition_edges"] = list(ns.partition)
-        summary["partition_fractions"] = [float(v)
-                                          for v in np.mean(shares, axis=0)]
+        summary["partition_fractions"] = [
+            float(v) for v in np.mean([m.shares(edges) for m in ms], axis=0)]
     text = "\n".join(rows) + "\n" + json.dumps(summary, sort_keys=True) + "\n"
     _write(ns.output, text)
     return 0

@@ -3,9 +3,9 @@ sign changes, full complex zero sets via the comrade matrix, and empirical
 scaled-zero measures with a Kolmogorov-Smirnov statistic against the limit
 distribution.
 
-Reproducibility contract: every trial's coefficient stream is a pure
-function of (dist, seed, trial_index) through a counter-derived generator,
-so results are independent of scheduling and batch layout.
+Reproducibility contract: sample_coeffs(dist, seed, trial, n) is a pure
+function of its arguments through a counter-derived generator, so results
+are independent of scheduling and batch layout.
 """
 
 from __future__ import annotations
@@ -53,15 +53,7 @@ def parse_dist(text: str) -> CoeffDist:
     raise DomainError(f"cannot parse coefficient law {text!r}")
 
 
-@dataclass(frozen=True)
-class CoefficientSample:
-    dist: CoeffDist
-    seed: int
-    trial_index: int
-    coeffs: np.ndarray
-
-
-def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> CoefficientSample:
+def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> np.ndarray:
     """Draw c_0..c_n for one trial.
 
     The stream is keyed by (seed, trial) through SeedSequence spawn keys, so
@@ -72,12 +64,10 @@ def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> Coefficient
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(trial,)))
     if dist.kind == "gaussian":
-        c = dist.sigma * rng.standard_normal(n + 1)
-    elif dist.kind == "rademacher":
-        c = rng.integers(0, 2, size=n + 1).astype(float) * 2.0 - 1.0
-    else:
-        c = rng.uniform(-1.0, 1.0, size=n + 1)
-    return CoefficientSample(dist=dist, seed=seed, trial_index=trial, coeffs=c)
+        return dist.sigma * rng.standard_normal(n + 1)
+    if dist.kind == "rademacher":
+        return rng.integers(0, 2, size=n + 1).astype(float) * 2.0 - 1.0
+    return rng.uniform(-1.0, 1.0, size=n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +310,18 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
-                     sample: CoefficientSample, info: ScalingInfo,
+                     coeffs: np.ndarray, info: ScalingInfo,
                      cfg: CountConfig = CountConfig()) -> CountResult:
     """Count real zeros of sum c_j p_j by sign changes of the weighted
     polynomial (same zeros, no overflow) on the make_count_grid grid,
     bracketing each change and bisecting to width _BISECT_REL * a_n."""
-    n = len(sample.coeffs) - 1
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.size - 1
     grid = make_count_grid(spec, info, table, cfg)
-    counts, (_, lo, hi, sl) = _brackets(table, sample.coeffs[None, :], grid,
-                                        n, info.a_n)
+    counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
+                                        info.a_n)
     if lo.size:
-        Ct = sample.coeffs[:, None]
+        Ct = coeffs[:, None]
         width = _BISECT_REL * info.a_n
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
@@ -368,9 +359,9 @@ def comrade_matrix(table: RecurrenceTable, coeffs: np.ndarray) -> np.ndarray:
     return M
 
 
-def all_zeros(table: RecurrenceTable, sample: CoefficientSample) -> np.ndarray:
+def all_zeros(table: RecurrenceTable, coeffs: np.ndarray) -> np.ndarray:
     """All complex zeros, as eigenvalues of the comrade matrix."""
-    return np.linalg.eigvals(comrade_matrix(table, sample.coeffs))
+    return np.linalg.eigvals(comrade_matrix(table, coeffs))
 
 
 @dataclass(frozen=True)
@@ -382,6 +373,11 @@ class EmpiricalMeasure:
     complex_count: int
     imag_tol: float
 
+    def shares(self, edges: np.ndarray) -> np.ndarray:
+        """Per interval of `edges`, the share of the points inside it;
+        points outside the edges are not counted."""
+        return np.histogram(self.scaled_points, edges)[0] / self.total
+
 
 def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
                       imag_tol: float | None = None) -> EmpiricalMeasure:
@@ -391,6 +387,8 @@ def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
     z = np.asarray(zeros)
     if imag_tol is None:
         imag_tol = 1e-8 * info.a_n
+    if not imag_tol >= 0:
+        raise DomainError(f"imag_tol must be >= 0, got {imag_tol}")
     pts = np.sort(z.real / info.a_n)
     n_complex = int(np.sum(np.abs(z.imag) > imag_tol))
     return EmpiricalMeasure(scaled_points=pts, total=z.size,
@@ -420,12 +418,14 @@ def partition_edges(partition) -> np.ndarray:
     return edges
 
 
-def interval_shares(zeros: np.ndarray, edges: np.ndarray, a_scale: float,
-                    n: int) -> np.ndarray:
-    """Per interval of `edges`, the share of a degree-n polynomial's zeros
-    whose real parts, contracted by a_scale, fall inside it."""
-    hist, _ = np.histogram(zeros.real / a_scale, bins=edges)
-    return hist / n
+def eigen_measures(table: RecurrenceTable, info: ScalingInfo,
+                   dist: CoeffDist, seed: int, trials: int,
+                   imag_tol: float | None = None) -> list[EmpiricalMeasure]:
+    """Scaled zero measures of trials 0..trials-1 at degree info.n, each
+    from the comrade-matrix eigenvalues of its own coefficient draw."""
+    return [empirical_measure(
+        all_zeros(table, sample_coeffs(dist, seed, t, info.n)), info, imag_tol)
+        for t in range(trials)]
 
 
 @dataclass(frozen=True)
@@ -455,8 +455,7 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     chunk = max(1, min(trials, 64_000_000 // (8 * grid.size)))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
-        C = np.stack([sample_coeffs(dist, seed, t, n).coeffs
-                      for t in range(t0, t1)])
+        C = np.stack([sample_coeffs(dist, seed, t, n) for t in range(t0, t1)])
         counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))

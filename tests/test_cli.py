@@ -69,6 +69,23 @@ def test_kac_scaled_interval():
     assert code == 2
 
 
+@pytest.mark.parametrize("basis", ["orthonormal", "monomial"])
+def test_kac_needs_interval_or_full_line(basis, capsys):
+    assert run(["kac", "--n", "10", "--basis", basis]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_density_rejects_empty_table(capsys):
+    assert run(["density", "--n", "10", "--points", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_rejects_negative_imag_tol(capsys):
+    assert run(["simulate", "--n", "10", "--trials", "2",
+                "--imag-tol=-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_density_table():
     code, out = capture(["density", "--weight", "freud:1:2", "--n", "30",
                          "--points", "5"])

@@ -13,31 +13,31 @@ def test_sample_reproducibility():
     d = oz.parse_dist("gaussian")
     a = oz.sample_coeffs(d, 7, 3, 50)
     b = oz.sample_coeffs(d, 7, 3, 50)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a, b)
     c = oz.sample_coeffs(d, 7, 4, 50)
-    assert not np.array_equal(a.coeffs, c.coeffs)
+    assert not np.array_equal(a, c)
 
 
 def test_gaussian_moments():
     d = oz.CoeffDist("gaussian", sigma=1.0)
-    x = oz.sample_coeffs(d, 123, 0, 10**6 - 1).coeffs
+    x = oz.sample_coeffs(d, 123, 0, 10**6 - 1)
     assert abs(x.mean()) <= 4.0 / math.sqrt(1e6)
     assert abs(x.var() - 1.0) <= 0.01
 
 
 def test_gaussian_sigma_scales():
-    base = oz.sample_coeffs(oz.CoeffDist("gaussian", 1.0), 5, 0, 20).coeffs
-    wide = oz.sample_coeffs(oz.CoeffDist("gaussian", 2.5), 5, 0, 20).coeffs
+    base = oz.sample_coeffs(oz.CoeffDist("gaussian", 1.0), 5, 0, 20)
+    wide = oz.sample_coeffs(oz.CoeffDist("gaussian", 2.5), 5, 0, 20)
     assert np.allclose(wide, 2.5 * base)
 
 
 def test_rademacher_support():
-    x = oz.sample_coeffs(oz.CoeffDist("rademacher"), 1, 0, 4000).coeffs
+    x = oz.sample_coeffs(oz.CoeffDist("rademacher"), 1, 0, 4000)
     assert set(np.unique(x)) == {-1.0, 1.0}
 
 
 def test_uniform_support():
-    x = oz.sample_coeffs(oz.CoeffDist("uniform"), 1, 0, 4000).coeffs
+    x = oz.sample_coeffs(oz.CoeffDist("uniform"), 1, 0, 4000)
     assert np.all((-1.0 < x) & (x < 1.0))
 
 
@@ -57,9 +57,12 @@ def test_linear_sample_one_zero(hermite, hermite_table_60):
     s = oz.sample_coeffs(d, 0, 0, 1)
     res = oz.count_real_zeros(hermite, hermite_table_60, s, info2)
     assert res.count == 1
+    # any array-like of coefficients will do, as for all_zeros
+    assert oz.count_real_zeros(hermite, hermite_table_60, list(s),
+                               info2).count == 1
     # closed form: c0 p0 + c1 p1 = 0 at b_1 * (-c0/c1) for the even table
     z = oz.all_zeros(hermite_table_60, s)
-    expect = -hermite_table_60.off_diag[0] * s.coeffs[0] / s.coeffs[1]
+    expect = -hermite_table_60.off_diag[0] * s[0] / s[1]
     assert z[0].real == pytest.approx(expect, rel=1e-12)
     assert res.zeros[0] == pytest.approx(expect, abs=1e-10)
 
@@ -67,8 +70,7 @@ def test_linear_sample_one_zero(hermite, hermite_table_60):
 def test_comrade_pure_top_degree_gives_gauss_nodes(hermite_table_60):
     c = np.zeros(11)
     c[10] = 1.0
-    s = oz.CoefficientSample(oz.CoeffDist("gaussian"), 0, 0, c)
-    z = np.sort(oz.all_zeros(hermite_table_60, s).real)
+    z = np.sort(oz.all_zeros(hermite_table_60, c).real)
     assert np.max(np.abs(z - np.sort(roots_hermite(10)[0]))) <= 1e-10
 
 
@@ -86,7 +88,7 @@ def test_comrade_trace_identity(hermite_table_60):
     for k in range(2, n + 1):
         polys.append((x * polys[k - 1] - tab.off_diag[k - 2] * polys[k - 2])
                      / tab.off_diag[k - 1])
-    P = sum(ci * pi for ci, pi in zip(s.coeffs, polys))
+    P = sum(ci * pi for ci, pi in zip(s, polys))
     coef = P.coef
     assert np.sum(z).real == pytest.approx(-coef[n - 1] / coef[n], rel=1e-8)
     assert abs(np.sum(z).imag) <= 1e-8
@@ -94,13 +96,11 @@ def test_comrade_trace_identity(hermite_table_60):
 
 def test_all_zeros_degree_reduction(hermite_table_60):
     d = oz.parse_dist("gaussian")
-    c = np.concatenate([oz.sample_coeffs(d, 3, 0, 8).coeffs, [0.0, 0.0]])
-    s = oz.CoefficientSample(d, 3, 0, c)
-    z = oz.all_zeros(hermite_table_60, s)
+    c = np.concatenate([oz.sample_coeffs(d, 3, 0, 8), [0.0, 0.0]])
+    z = oz.all_zeros(hermite_table_60, c)
     assert z.size == 8
     with pytest.raises(DegenerateSampleError):
-        oz.all_zeros(hermite_table_60,
-                     oz.CoefficientSample(d, 0, 0, np.zeros(5)))
+        oz.all_zeros(hermite_table_60, np.zeros(5))
 
 
 def test_zero_scale_invariance(hermite, hermite_table_60):
@@ -108,7 +108,7 @@ def test_zero_scale_invariance(hermite, hermite_table_60):
     info = oz.solve_mrs(hermite, 31)
     s = oz.sample_coeffs(d, 17, 0, 30)
     # binary scales propagate exactly through every float operation
-    s_pow2 = oz.CoefficientSample(d, 17, 0, 4.0 * s.coeffs)
+    s_pow2 = 4.0 * s
     r1 = oz.count_real_zeros(hermite, hermite_table_60, s, info)
     r2 = oz.count_real_zeros(hermite, hermite_table_60, s_pow2, info)
     assert r1.count == r2.count
@@ -117,7 +117,7 @@ def test_zero_scale_invariance(hermite, hermite_table_60):
     z2 = np.sort_complex(oz.all_zeros(hermite_table_60, s_pow2))
     assert np.array_equal(z1, z2)
     # arbitrary positive scales keep the count
-    s_odd = oz.CoefficientSample(d, 17, 0, 3.7 * s.coeffs)
+    s_odd = 3.7 * s
     r3 = oz.count_real_zeros(hermite, hermite_table_60, s_odd, info)
     assert r3.count == r1.count
 
@@ -157,12 +157,42 @@ def test_empirical_measure_fields(hermite, hermite_table_60):
     assert real_only.complex_count == 0
 
 
+def test_empirical_measure_rejects_negative_imag_tol():
+    info = oz.ScalingInfo(n=3, a_n=1.0, residual=0.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            oz.empirical_measure(np.array([0.1, -0.5, 0.3]), info,
+                                 imag_tol=bad)
+
+
+def test_eigen_measures_match_per_trial(hermite, hermite_table_60):
+    d = oz.parse_dist("rademacher")
+    info = oz.solve_mrs(hermite, 25)
+    ms = oz.eigen_measures(hermite_table_60, info, d, 6, 4, imag_tol=1e-9)
+    assert len(ms) == 4
+    for t, m in enumerate(ms):
+        one = oz.empirical_measure(
+            oz.all_zeros(hermite_table_60, oz.sample_coeffs(d, 6, t, 25)),
+            info, imag_tol=1e-9)
+        assert np.array_equal(m.scaled_points, one.scaled_points)
+        assert (m.total, m.complex_count, m.imag_tol) == (
+            one.total, one.complex_count, one.imag_tol)
+
+
+def test_shares_leave_outside_points_uncounted():
+    info = oz.ScalingInfo(n=5, a_n=2.0, residual=0.0)
+    m = oz.empirical_measure(np.array([-3.0, -1.0, 0.5, 1.0, 4.0]), info)
+    shares = m.shares(mc.partition_edges((-1.0, 0.0, 1.0)))
+    # scaled points -1.5 and 2.0 fall outside [-1, 1]
+    assert np.array_equal(shares, [0.2, 0.4])
+    assert shares.sum() < 1.0
+
+
 def test_pure_top_degree_measure_close_to_limit(freud12):
     tab = oz.get_table(freud12, 501)
     c = np.zeros(501)
     c[500] = 1.0
-    s = oz.CoefficientSample(oz.CoeffDist("gaussian"), 0, 0, c)
-    z = oz.all_zeros(tab, s)
+    z = oz.all_zeros(tab, c)
     info = oz.solve_mrs(freud12, 500)
     m = oz.empirical_measure(z, info)
     assert m.complex_count == 0
@@ -267,12 +297,10 @@ def test_rademacher_partition_fractions(hermite):
     # interval shares of all scaled zeros against the limit masses; the
     # weak-convergence theorem needs no Gaussianity
     tab = oz.get_table(hermite, 201)
-    d = oz.parse_dist("rademacher")
     edges = mc.partition_edges((-1.0, -0.5, 0.0, 0.5, 1.0))
-    a_n = oz.solve_mrs(hermite, 200).a_n
-    fractions = np.mean(
-        [mc.interval_shares(oz.all_zeros(tab, oz.sample_coeffs(d, 0, t, 200)),
-                            edges, a_n, 200) for t in range(1000)], axis=0)
+    ms = oz.eigen_measures(tab, oz.solve_mrs(hermite, 200),
+                           oz.parse_dist("rademacher"), 0, 1000)
+    fractions = np.mean([m.shares(edges) for m in ms], axis=0)
     masses = np.array([oz.ullman_cdf(2.0, b) - oz.ullman_cdf(2.0, a)
                        for a, b in ((-1, -0.5), (-0.5, 0), (0, 0.5), (0.5, 1))])
     assert np.max(np.abs(fractions - masses)) <= 0.03

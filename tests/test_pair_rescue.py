@@ -38,7 +38,7 @@ def audit(n, trials, law):
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
     edge = mc._EDGE * info.a_n
-    C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n).coeffs
+    C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n)
                   for t in range(trials)])
     P, D, expo = oz.poly_matrix(table, grid, n, derivs=True)
     V, Vd = C @ P, C @ D
@@ -122,7 +122,7 @@ def test_slab_size_and_row_split_keep_results(monkeypatch):
     table = oz.build_recurrence(spec, 61)
     info = oz.solve_mrs(spec, 61)
     grid = oz.make_count_grid(spec, info, table)
-    C = np.stack([oz.sample_coeffs(oz.parse_dist("rademacher"), 0, t, 60).coeffs
+    C = np.stack([oz.sample_coeffs(oz.parse_dist("rademacher"), 0, t, 60)
                   for t in range(40)])
     counts, whole = mc._brackets(table, C, grid, 60, info.a_n)
     monkeypatch.setattr(mc, "_SLAB_BYTES", 1)  # one cell per slab
