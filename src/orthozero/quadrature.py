@@ -98,8 +98,9 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
     while work:
         los, his, parents = (np.array(col) for col in zip(*work))
         mids = 0.5 * (los + his)
-        left = panel_values(los, mids)
-        right = panel_values(mids, his)
+        # both halves of every pending panel in one batch: one f call per wave
+        left, right = np.split(panel_values(np.concatenate([los, mids]),
+                                            np.concatenate([mids, his])), 2)
         errs = np.abs(left + right - parents)
         next_work = []
         for i in range(len(work)):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from orthozero.errors import BudgetError
-from orthozero.quadrature import adaptive_gl
+from orthozero.quadrature import adaptive_gl, gl_rule
 
 
 def test_adaptive_gl_budget_error_carries_partials():
@@ -19,3 +20,73 @@ def test_adaptive_gl_budget_error_carries_partials():
     assert str(err) == ("adaptive quadrature exceeded 10 panels "
                         f"(partial value {err.partial:.6g})")
     assert BudgetError("no partials").partial is None
+
+
+def _halves_separately(f, lo, hi, tol, order, presplit):
+    """The panel bisection of `adaptive_gl` with the left and right halves
+    of each wave evaluated in two separate calls."""
+    xg, wg = gl_rule(order)
+    xs, ys = [], []
+
+    def panel_values(los, his):
+        mid, half = 0.5 * (los + his), 0.5 * (his - los)
+        x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        y = np.asarray(f(x), dtype=float)
+        xs.append(x)
+        ys.append(y)
+        return (y.reshape(len(los), order) * wg).sum(1) * half
+
+    edges = sorted({lo, hi, *(p for p in presplit if lo < p < hi)})
+    los, his = np.array(edges[:-1]), np.array(edges[1:])
+    work = list(zip(los, his, panel_values(los, his)))
+    total = err = 0.0
+    while work:
+        los, his, parents = (np.array(col) for col in zip(*work))
+        mids = 0.5 * (los + his)
+        left, right = panel_values(los, mids), panel_values(mids, his)
+        errs = np.abs(left + right - parents)
+        work = []
+        for i in range(len(errs)):
+            if errs[i] <= tol * (his[i] - los[i]) / (hi - lo):
+                total += left[i] + right[i]
+                err += errs[i]
+            else:
+                work += [(los[i], mids[i], left[i]), (mids[i], his[i], right[i])]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    idx = np.argsort(x, kind="stable")
+    return total, err, x[idx], y[idx], len(xs)
+
+
+def test_adaptive_gl_one_call_per_refinement_wave():
+    order = 15
+    batches = []
+
+    def g(x):
+        return np.exp(-x * x) * np.cos(9.0 * x) ** 2
+
+    def f(x):
+        batches.append(x.copy())
+        return g(x)
+
+    presplit = [-1.0, 0.0, 0.5]
+    val, err, xs, ys = adaptive_gl(f, -4.0, 4.0, tol=1e-11, order=order,
+                                   presplit=presplit)
+    ref_val, ref_err, ref_xs, ref_ys, ref_calls = _halves_separately(
+        f, -4.0, 4.0, 1e-11, order, presplit)
+    waves = (ref_calls - 1) // 2
+    assert waves >= 3
+    # one initial call, then one call per wave instead of two
+    assert len(batches) - ref_calls == 1 + waves
+    ours, ref = batches[:1 + waves], batches[1 + waves:]
+    assert ours[0].size == order * 4
+    assert ours[1].size == 2 * order * 4
+    for k in range(1, 1 + waves):
+        # the reference's left batch holds `order` nodes per pending panel
+        pending = ref[2 * k - 1].size // order
+        assert ours[k].size == 2 * order * pending
+        assert np.array_equal(ours[k], np.concatenate(ref[2 * k - 1:2 * k + 1]))
+    # the same nodes in the same order: identical to the last bit
+    assert val == pytest.approx(quad(g, -4.0, 4.0, limit=200)[0], abs=1e-10)
+    assert (val, err) == (ref_val, ref_err)
+    assert np.array_equal(xs, ref_xs)
+    assert np.array_equal(ys, ref_ys)
