@@ -97,8 +97,8 @@ def cmd_recurrence(ns) -> int:
 
 
 def cmd_kac(ns) -> int:
-    if not ns.full_line and ns.interval is None:
-        raise DomainError("kac needs --interval LO HI or --full-line")
+    if ns.full_line == (ns.interval is not None):
+        raise DomainError("kac needs one of --interval LO HI or --full-line")
     if ns.basis == "monomial":
         if ns.scaled:
             raise DomainError("--scaled applies to the orthonormal basis")

@@ -87,21 +87,26 @@ def expected_zeros(table: RecurrenceTable, n: int, interval: tuple[float, float]
 
     `edge` pre-splits the initial panels geometrically around +-edge where
     the density has its sharp shoulder; it defaults to 2 b_n, which is
-    asymptotically the support radius.
+    asymptotically the support radius.  The density is even, so a symmetric
+    interval (lo == -hi) is integrated on [0, hi] to tol/2 and doubled, and
+    its samples are mirrored.  Each refinement wave is one recurrence sweep.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise DomainError(f"empty interval {interval}")
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
-    presplit = []
-    for s in (-1.0, 1.0):
-        for f in (0.85, 0.95, 0.99, 1.0, 1.01, 1.05, 1.15):
-            presplit.append(s * f * edge)
-    presplit.extend(np.linspace(lo, hi, 9)[1:-1])
+    shoulder = [f * edge for f in (0.85, 0.95, 0.99, 1.0, 1.01, 1.05, 1.15)]
     stats = _ClampStats()
-    val, err, xs, fs = adaptive_gl(_density_batch(table, n, stats), lo, hi,
-                                   tol=tol, presplit=presplit)
+    dens = _density_batch(table, n, stats)
+    if lo == -hi:
+        val, err, xs, fs = adaptive_gl(dens, 0.0, hi, tol=tol / 2, presplit=[
+            *shoulder, *np.linspace(0.0, hi, 5)[1:-1]])
+        val, err = 2.0 * val, 2.0 * err
+        xs, fs = np.concatenate([-xs[::-1], xs]), np.concatenate([fs[::-1], fs])
+    else:
+        val, err, xs, fs = adaptive_gl(dens, lo, hi, tol=tol, presplit=[
+            *shoulder, *(-p for p in shoulder), *np.linspace(lo, hi, 9)[1:-1]])
     return ZeroDensityProfile(
         n=n, samples_x=xs, samples_density=fs, expected_count=val,
         interval=(lo, hi), quadrature_error=err,
@@ -112,10 +117,12 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
                         pad: float = 1.5, edge: float | None = None) -> ZeroDensityProfile:
     """Expected count over the whole line.
 
-    The core is integrated on [-pad*edge, pad*edge]; the two tails are
-    integrated exactly under u = 1/x, where the density is smooth and tends
-    to a constant (it decays like b_n/(pi x^2), a Cauchy-type tail, so no
-    cutoff radius can make it negligible by itself).
+    The core is integrated on [-pad*edge, pad*edge], folded onto x >= 0 as
+    in `expected_zeros`; the two tails are integrated exactly under u = 1/x,
+    where the density is smooth and tends to a constant (it decays like
+    b_n/(pi x^2), a Cauchy-type tail, so no cutoff radius can make it
+    negligible by itself).  The density is even, so the two tails are one
+    tail doubled.
     """
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
@@ -126,7 +133,7 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
 
     def tail(u):
         u = np.asarray(u, dtype=float)
-        return (dens(1.0 / u) + dens(-1.0 / u)) / (u * u)
+        return 2.0 * dens(1.0 / u) / (u * u)
 
     tval, terr, _, _ = adaptive_gl(tail, 0.0, 1.0 / R, tol=tol * 0.5)
     nodes = stats.nodes + len(core.samples_x)

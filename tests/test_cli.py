@@ -75,6 +75,14 @@ def test_kac_needs_interval_or_full_line(basis, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("basis", ["orthonormal", "monomial"])
+def test_kac_rejects_interval_with_full_line(basis, capsys):
+    assert run(["kac", "--n", "10", "--basis", basis, "--interval", "-1", "1",
+                "--full-line"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--full-line" in err
+
+
 def test_density_rejects_empty_table(capsys):
     assert run(["density", "--n", "10", "--points", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

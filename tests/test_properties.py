@@ -1,7 +1,7 @@
 """Property tests over parameter ranges: evenness of the zero density,
-additivity of the expected count, scale invariance of the zero counter and
-monotonicity of the limit CDF.  Derandomized, so every run draws the same
-examples."""
+additivity of the expected count, the fold of symmetric ranges onto x >= 0,
+scale invariance of the zero counter and monotonicity of the limit CDF.
+Derandomized, so every run draws the same examples."""
 
 import math
 
@@ -34,6 +34,23 @@ def test_expected_zeros_additive(hermite_table_60, a, w1, w2, n):
               - right.expected_count)
     assert gap <= (whole.quadrature_error + left.quadrature_error
                    + right.quadrature_error + 3.0 * tol)
+
+
+@PROPERTY
+@given(h=st.floats(0.05, 20.0), n=st.integers(1, 60))
+def test_symmetric_range_folds_onto_half_line(hermite_table_60, h, n):
+    tol = 1e-6
+    whole = oz.expected_zeros(hermite_table_60, n, (-h, h), tol=tol)
+    assert np.array_equal(whole.samples_x, -whole.samples_x[::-1])
+    assert np.array_equal(whole.samples_density, whole.samples_density[::-1])
+    # the halves take the unfolded path: neither range is symmetric
+    left, right = (oz.expected_zeros(hermite_table_60, n, iv, tol=tol)
+                   for iv in ((-h, 0.0), (0.0, h)))
+    gap = abs(whole.expected_count - left.expected_count
+              - right.expected_count)
+    assert gap <= (whole.quadrature_error + left.quadrature_error
+                   + right.quadrature_error + 3.0 * tol)
+    assert 0.0 <= whole.clamped_fraction <= 1.0
 
 
 @PROPERTY
