@@ -142,18 +142,20 @@ def _stieltjes(nodes, w2w, n_max: int):
 def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
                    n_target: int) -> float:
     """Largest Gram defect over i, j <= min(n_max, 256) on an independent
-    mesh (different order, grading and panel count)."""
+    mesh (different order, grading and panel count).  The mesh is mirror
+    symmetric and p_j has parity (-1)^j, so entries of opposite parity
+    vanish and the others are twice their half-mesh sums: the audit runs on
+    the positive half, one block per parity."""
     n_check = min(table.n_max, 256)
     nodes, wts = _mesh(R, int(1.37 * n_target) | 1, order=31,
                        grade_ratio=0.4, grade_levels=24)
-    x = np.concatenate([-nodes[::-1], nodes]).astype(float)
-    lw = np.concatenate([wts[::-1], wts]).astype(float)
+    x = nodes.astype(float)
     T, _, expo = poly_matrix(table, x, n_check)
     qx = np.asarray(spec.q(x), dtype=float)
     scale = np.exp(expo * math.log(2.0) - qx)  # p_j W = mantissa * scale
-    Tw = T * (scale * np.sqrt(np.maximum(lw, 0.0)))[None, :]
-    G = Tw @ Tw.T
-    return float(np.max(np.abs(G - np.eye(n_check + 1))))
+    T *= scale * np.sqrt(2.0 * np.maximum(wts.astype(float), 0.0))
+    return max(float(np.max(np.abs(Tp @ Tp.T - np.eye(Tp.shape[0]))))
+               for Tp in (T[0::2], T[1::2]))
 
 
 def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
@@ -194,10 +196,9 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
             f"recurrence coefficients did not stabilize within {max_nodes} nodes")
 
     off = off_ld.astype(float)
-    log_gamma0 = math.log(float(gamma0_ld))
-    log_leading = np.concatenate([[log_gamma0],
-                                  log_gamma0 - np.cumsum(
-                                      np.log(off_ld)).astype(float)])
+    log_leading = np.concatenate([[math.log(float(gamma0_ld))],
+                                  (np.log(gamma0_ld) - np.cumsum(
+                                      np.log(off_ld))).astype(float)])
 
     table = RecurrenceTable(
         label=spec.label, n_max=n_max, off_diag=off, log_leading=log_leading,
@@ -243,11 +244,16 @@ def load_table(path) -> RecurrenceTable:
                 f"table file format {version} unsupported (this version "
                 f"reads format {TABLE_FORMAT_VERSION}); rebuild the file with "
                 "`orthozero recurrence --cache PATH`")
+        n_max, off, log_lead = int(z["n_max"]), z["off_diag"], z["log_leading"]
+        if off.size != n_max or log_lead.size != n_max + 1:
+            raise DomainError(
+                f"table file holds {off.size} b_k and {log_lead.size} "
+                f"log gamma_k for n_max {n_max} (expected {n_max} and "
+                f"{n_max + 1}); rebuild it with `orthozero recurrence --cache PATH`")
         return RecurrenceTable(
-            label=str(z["label"]), n_max=int(z["n_max"]),
-            off_diag=z["off_diag"], log_leading=z["log_leading"],
-            ortho_residual=float(z["ortho_residual"]), pad=float(z["pad"]),
-            mesh_signature=str(z["mesh_signature"]))
+            label=str(z["label"]), n_max=n_max, off_diag=off,
+            log_leading=log_lead, ortho_residual=float(z["ortho_residual"]),
+            pad=float(z["pad"]), mesh_signature=str(z["mesh_signature"]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import (
@@ -302,6 +301,7 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
     if abs(x) == 1.0:
         return 0.0
 
+    from scipy.integrate import quad  # lazy: costs ~0.3 s at import
     y = abs(x)
     pref = alpha / math.pi * math.sqrt(1.0 - y * y)
     eps = min(tol / pref, 1e-8)
@@ -371,6 +371,7 @@ def _half_mass(alpha: float, b: float, eps: float) -> float:
         return 0.0
     if b >= 1.0:
         return 0.5
+    from scipy.integrate import quad  # lazy: costs ~0.3 s at import
     b2 = b * b
     om = 1.0 - b2
 

@@ -38,3 +38,8 @@ def hermite_table_60(hermite):
 @pytest.fixture(scope="session")
 def hermite_table_101(hermite):
     return oz.build_recurrence(hermite, 101)
+
+
+@pytest.fixture(scope="session")
+def hermite_table_1001(hermite):
+    return oz.build_recurrence(hermite, 1001)

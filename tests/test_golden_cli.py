@@ -11,8 +11,13 @@ The `kac --weight freud:0.5:2 --n 100 --full-line` digest was recaptured
 twice: when the half-mesh Stieltjes build moved two b_k of the n_max 101
 table by one ulp, and when symmetric ranges began to be integrated on
 x >= 0 and mirrored, which made the x column exactly antisymmetric and
-moved the last digits of the density, count and error rows.  Every other
-digest predates both changes.
+moved the last digits of the density, count and error rows.
+
+The `recurrence --weight freud:0.5:2 --n-max 60` digest was recaptured
+once, when ln gamma_k (k >= 1) came to be rounded once from extended
+precision and the Gram audit was split by parity on the half mesh: only
+the gamma_k column (13 of 61 rows, last digits) and the
+`ortho_residual` line moved.  Every other digest predates these changes.
 """
 
 import hashlib
@@ -30,7 +35,7 @@ GOLDEN = {
     ("density", "--weight", "freud:1:4", "--n", "60", "--points", "21"):
         "9117721ddcd65e41e504750b198f5bf0798cd41da493014293ef70d5f116cfa0",
     ("recurrence", "--weight", "freud:0.5:2", "--n-max", "60"):
-        "ce4275939bde4d7d2db7643bdbbd91af004a0de98653c678cacee4444d8aa779",
+        "1f2379f34709d996fc2d2a66219f46df24f1d036dc733f93cc1f0b384c1fe676",
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--full-line"):
         "3416ba84a2b18749d7c2946a1db8250ce44dace37686f9db25cee82911170ef2",
     ("kac", "--weight", "freud:1:4", "--n", "80", "--interval", "-1.5", "2"):

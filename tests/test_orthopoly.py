@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ def test_hermite_recurrence_oracle(hermite_table_60):
     assert hermite_table_60.gamma0 == pytest.approx(np.pi ** -0.25, rel=1e-13)
 
 
-def test_hermite_oracle_whole_big_table(hermite):
+def test_hermite_oracle_whole_big_table(hermite_table_1001):
     # every b_k of the largest table the package builds, not only b_1..b_60;
     # k/2 is exact in binary, so np.sqrt gives the correctly rounded sqrt(k/2)
-    tab = oz.build_recurrence(hermite, 1001)
+    tab = hermite_table_1001
     exact = np.sqrt(np.arange(1, 1002) / 2.0)
     assert np.max(np.abs(tab.off_diag / exact - 1.0)) <= 4.5e-16
     assert np.count_nonzero(tab.off_diag == exact) >= 893
@@ -63,6 +65,21 @@ def test_hermite_leading_coefficients(hermite_table_60):
     assert np.max(rel) <= 1e-8
 
 
+def test_hermite_log_leading_whole_big_table(hermite_table_1001):
+    # ln gamma_k = -ln(pi)/4 - ln Gamma(k+1)/2 + (k/2) ln 2, to 8 ulps at
+    # every k: the partial sums of ln b_j are rounded once, after the
+    # subtraction from ln gamma_0, so no entry loses digits to cancellation
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = np.array([float(-mpmath.log(mpmath.pi) / 4
+                                - mpmath.loggamma(k + 1) / 2
+                                + mpmath.mpf(k) / 2 * mpmath.log(2))
+                          for k in range(1002)])
+    ulps = np.abs(hermite_table_1001.log_leading - exact) / np.spacing(
+        np.abs(exact))
+    assert np.max(ulps) <= 8
+
+
 def test_leading_invariant_gamma_recursion(hermite_table_60):
     t = hermite_table_60
     lead = t.leading
@@ -98,6 +115,52 @@ def test_residual_and_independent_gram(hermite_table_60):
         p_prev, p_cur = p_cur, p_next
     G = (V * w) @ V.T
     assert np.max(np.abs(G - np.eye(41))) <= 1e-8
+
+
+def _audit_mesh(spec, table):
+    """(R, n_target) of the build that produced `table`."""
+    n_target = int(re.match(r"gl24x(\d+);", table.mesh_signature).group(1))
+    return orthopoly._support_radius(spec, table.n_max, table.pad), n_target
+
+
+def _full_mesh_gram_residual(spec, table, R, n_target):
+    # the audit without the parity split: both halves of the mirrored mesh,
+    # one Gram product over all degrees
+    n_check = min(table.n_max, 256)
+    nodes, wts = orthopoly._mesh(R, int(1.37 * n_target) | 1, order=31,
+                                 grade_ratio=0.4, grade_levels=24)
+    x = np.concatenate([-nodes[::-1], nodes]).astype(float)
+    lw = np.concatenate([wts[::-1], wts]).astype(float)
+    T, _, expo = oz.poly_matrix(table, x, n_check)
+    scale = np.exp(expo * math.log(2.0) - np.asarray(spec.q(x), dtype=float))
+    Tw = T * (scale * np.sqrt(np.maximum(lw, 0.0)))[None, :]
+    return float(np.max(np.abs(Tw @ Tw.T - np.eye(n_check + 1))))
+
+
+def test_parity_split_audit_matches_full_mesh(hermite_table_60, hermite,
+                                              freud14):
+    for spec, tab in ((hermite, hermite_table_60),
+                      (freud14, oz.build_recurrence(freud14, 81))):
+        R, n_target = _audit_mesh(spec, tab)
+        assert orthopoly._gram_residual(spec, tab, R, n_target) \
+            == tab.ortho_residual
+        full = _full_mesh_gram_residual(spec, tab, R, n_target)
+        assert abs(tab.ortho_residual - full) <= 1e-15
+
+
+def test_parity_split_audit_catches_defect_in_each_block(hermite_table_60,
+                                                         hermite):
+    # b_n at the top of a table moves only p_n: off_diag[59] (odd index) of
+    # the n_max 60 table touches the even block alone, off_diag[58] (even
+    # index) of the table cut to n_max 59 the odd block alone
+    t = hermite_table_60
+    R, n_target = _audit_mesh(hermite, t)
+    for n in (60, 59):
+        off = t.off_diag[:n].copy()
+        off[n - 1] *= 1 + 1e-9
+        bad = dataclasses.replace(t, n_max=n, off_diag=off,
+                                  log_leading=t.log_leading[:n + 1])
+        assert orthopoly._gram_residual(hermite, bad, R, n_target) > 1e-11
 
 
 def test_eval_poly_values(hermite_table_60):
@@ -272,6 +335,20 @@ def test_table_format_v1_rejected(tmp_path, hermite_table_60):
         mesh_signature=t.mesh_signature)
     with pytest.raises(DomainError, match=r"format 1 .*recurrence --cache"):
         oz.load_table(path)
+
+
+def test_truncated_table_file_rejected(tmp_path, hermite_table_60):
+    t = hermite_table_60
+    for off, log_lead in ((t.off_diag[:-1], t.log_leading),
+                          (t.off_diag, t.log_leading[:-1])):
+        path = tmp_path / "short.npz"
+        np.savez_compressed(
+            path, format_version=orthopoly.TABLE_FORMAT_VERSION,
+            label=t.label, n_max=t.n_max, off_diag=off, log_leading=log_lead,
+            ortho_residual=t.ortho_residual, pad=t.pad,
+            mesh_signature=t.mesh_signature)
+        with pytest.raises(DomainError, match="n_max 60"):
+            oz.load_table(path)
 
 
 def test_build_rejects_bad_arguments(hermite):

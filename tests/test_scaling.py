@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,26 @@ def test_ullman_cdf_symmetry_and_closed_forms():
     # semicircle closed form
     semi = 0.5 + (math.asin(0.5) + 0.5 * math.sqrt(0.75)) / math.pi
     assert oz.ullman_cdf(2.0, 0.5) == pytest.approx(semi, abs=1e-11)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs ~0.3 s per process; only the quad-based limit
+    # density and CDF need it, and they import it on first call
+    code = (
+        "import math, sys\n"
+        "import orthozero as oz\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "d = oz.ullman_density(2.0, 0.3)\n"
+        "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n"
+        "F = oz.ullman_cdf(2.0, 0.3)\n"
+        "semi = 0.5 + (math.asin(0.3) + 0.3 * math.sqrt(0.91)) / math.pi\n"
+        "assert abs(F - semi) <= 1e-11, F\n")
+    src = str(Path(oz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ullman_cdf_monotone():
