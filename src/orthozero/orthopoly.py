@@ -142,10 +142,8 @@ def _stieltjes(nodes, w2w, n_max: int):
 def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
                    n_target: int) -> float:
     """Largest Gram defect over i, j <= min(n_max, 256) on an independent
-    mesh (different order, grading and panel count).  The mesh is mirror
-    symmetric and p_j has parity (-1)^j, so entries of opposite parity
-    vanish and the others are twice their half-mesh sums: the audit runs on
-    the positive half, one block per parity."""
+    mesh (other order, grading, panel count); p_j has parity (-1)^j, so each
+    parity block runs on the mesh's positive half with doubled weights."""
     n_check = min(table.n_max, 256)
     nodes, wts = _mesh(R, int(1.37 * n_target) | 1, order=31,
                        grade_ratio=0.4, grade_levels=24)
@@ -247,9 +245,8 @@ def load_table(path) -> RecurrenceTable:
         n_max, off, log_lead = int(z["n_max"]), z["off_diag"], z["log_leading"]
         if off.size != n_max or log_lead.size != n_max + 1:
             raise DomainError(
-                f"table file holds {off.size} b_k and {log_lead.size} "
-                f"log gamma_k for n_max {n_max} (expected {n_max} and "
-                f"{n_max + 1}); rebuild it with `orthozero recurrence --cache PATH`")
+                f"table file holds {off.size} b_k, {log_lead.size} ln gamma_k "
+                f"for n_max {n_max}: truncated or corrupt")
         return RecurrenceTable(
             label=str(z["label"]), n_max=n_max, off_diag=off,
             log_leading=log_lead, ortho_residual=float(z["ortho_residual"]),
