@@ -209,9 +209,7 @@ def criterion_9() -> CriterionResult:
     spec, tab = _table("freud:0.5:2", 1001)
     k = np.arange(1, 61)
     worst_b = float(np.max(np.abs(tab.off_diag[:60] / np.sqrt(k / 2.0) - 1.0)))
-    spec4 = weights.parse_weight("freud:1:4")
-    tab4 = orthopoly.get_table(spec4, 200)
-    res4 = tab4.ortho_residual
+    res4 = _table("freud:1:4", 501)[1].ortho_residual
     a200 = scaling.solve_mrs(spec, 200).a_n
     ratio = math.exp(tab.log_leading[200] / 200.0) * a200
     target = 2.0 * math.exp(0.5)

@@ -107,7 +107,6 @@ def cmd_kac(ns) -> int:
     else:
         spec = weights.parse_weight(ns.weight)
         table = orthopoly.get_table(spec, ns.n + 1)
-        info = scaling.solve_mrs(spec, ns.n + 1)
         if ns.scaled:
             if ns.full_line:
                 raise DomainError("--scaled needs --interval inside (-1, 1)")
@@ -115,6 +114,7 @@ def cmd_kac(ns) -> int:
                 spec, table, ns.n, ns.interval[0], ns.interval[1], tol=ns.tol)
             _write(ns.output, "scaled_expected_zeros_per_n\n" + fmt(val) + "\n")
             return 0
+        info = scaling.solve_mrs(spec, ns.n + 1)
         if ns.full_line:
             prof = kac.expected_zeros_full(table, ns.n, tol=ns.tol,
                                            pad=ns.pad, edge=info.a_n)

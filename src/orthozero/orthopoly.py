@@ -42,6 +42,9 @@ _SCALE_LOG2 = 256
 
 TABLE_FORMAT_VERSION = 2
 
+# the Stieltjes mesh doubles from max(1200, 16 n_max) nodes up to this many
+_MAX_NODES = 200_000
+
 
 @dataclass(frozen=True)
 class RecurrenceTable:
@@ -156,8 +159,8 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
                for Tp in (T[0::2], T[1::2]))
 
 
-def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
-                     max_nodes: int = 200_000) -> RecurrenceTable:
+def build_recurrence(spec: WeightSpec, n_max: int,
+                     pad: float = 1.5) -> RecurrenceTable:
     """Build the recurrence table by the discretized Stieltjes procedure.
 
     The measure exp(-2Q) dx is truncated to [-R, R] with
@@ -179,7 +182,7 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
     R = _support_radius(spec, n_max, pad)
     n_target = max(1200, 16 * n_max)
     prev = None
-    while n_target <= max_nodes:
+    while n_target <= _MAX_NODES:
         nodes, wts = _mesh(R, n_target, order=24, grade_ratio=0.5,
                            grade_levels=30)
         w2w = np.exp(np.longdouble(-2) * spec.q(nodes)) * wts
@@ -191,7 +194,7 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
         n_target *= 2
     else:
         raise DiscretizationError(
-            f"recurrence coefficients did not stabilize within {max_nodes} nodes")
+            f"recurrence coefficients did not stabilize within {_MAX_NODES} nodes")
 
     off = off_ld.astype(float)
     log_leading = np.concatenate([[math.log(float(gamma0_ld))],
@@ -213,17 +216,18 @@ def build_recurrence(spec: WeightSpec, n_max: int, pad: float = 1.5,
 _TABLE_CACHE: dict[tuple, RecurrenceTable] = {}
 
 
-def get_table(spec: WeightSpec, n_max: int, pad: float = 1.5) -> RecurrenceTable:
-    """Cached build_recurrence keyed by content (the spec's fingerprint, or
-    else its Q callable; never the free-text label), n_max and pad.  A
-    cached table with larger n_max serves smaller requests unchanged."""
-    content = spec.q if spec.fingerprint is None else spec.fingerprint
-    for (key, nm, pd), tab in _TABLE_CACHE.items():
-        if key == content and pd == pad and nm >= n_max:
-            return tab
-    tab = build_recurrence(spec, n_max, pad=pad)
-    _TABLE_CACHE[(content, n_max, pad)] = tab
-    return tab
+def get_table(spec: WeightSpec, n_max: int) -> RecurrenceTable:
+    """build_recurrence(spec, n_max), cached on the weight content (the
+    spec's fingerprint, or else its Q callable; never the free-text label)
+    and exactly n_max, so a request's bits never depend on what was cached
+    before it.  The cached arrays are read-only: callers share them."""
+    key = (spec.q if spec.fingerprint is None else spec.fingerprint, n_max)
+    if key not in _TABLE_CACHE:
+        tab = build_recurrence(spec, n_max)
+        tab.off_diag.setflags(write=False)
+        tab.log_leading.setflags(write=False)
+        _TABLE_CACHE[key] = tab
+    return _TABLE_CACHE[key]
 
 
 def save_table(table: RecurrenceTable, path) -> None:

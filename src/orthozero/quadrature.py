@@ -41,18 +41,20 @@ def gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 def cheb_t_integral(f, tol: float, m0: int = 32, m_cap: int = 1 << 21):
     """Integrate f(x)/sqrt(1-x^2) over (-1, 1) by node doubling.
 
-    `f` must accept an ndarray of nodes.  Doubling stops once two successive
-    rule evaluations differ by less than tol/4, following the convention that
-    the returned error estimate is the last inter-rule difference.
+    `f` must accept a 1-D ndarray of nodes and may return an array whose
+    last axis runs over them: each leading entry is integrated separately.
+    Doubling stops once two successive rule evaluations differ by less than
+    tol/4 in every entry, following the convention that the returned error
+    estimate is the last (largest) inter-rule difference.
 
     Returns (value, err_estimate, m_used).
     """
     m = m0
-    val = (np.pi / m) * np.sum(f(cheb_t_nodes(m)))
+    val = (np.pi / m) * np.sum(f(cheb_t_nodes(m)), axis=-1)
     while m < m_cap:
         m *= 2
-        new = (np.pi / m) * np.sum(f(cheb_t_nodes(m)))
-        diff = abs(new - val)
+        new = (np.pi / m) * np.sum(f(cheb_t_nodes(m)), axis=-1)
+        diff = np.max(np.abs(new - val))
         val = new
         if diff < tol / 4.0:
             return val, diff, m

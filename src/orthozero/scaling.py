@@ -167,18 +167,9 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
     a = info.a_n
     if np.any(np.abs(x) >= a):
         raise DomainError("equilibrium density needs |x| < a_n")
-    m = 256
-    prev = None
-    while m <= (1 << 19):
-        u = cheb_t_nodes(m)
-        dd = _divided_difference(spec, a * u[None, :], x[:, None], a)
-        I = (np.pi / m) * dd.sum(axis=1)
-        if prev is not None and np.max(np.abs(I - prev)) < tol / 4.0:
-            break
-        prev = I
-        m *= 2
-    else:
-        raise DiscretizationError("equilibrium-density quadrature did not converge")
+    I, _, _ = cheb_t_integral(
+        lambda u: _divided_difference(spec, a * u[None, :], x[:, None], a),
+        tol, m0=256, m_cap=1 << 19)
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
 
 

@@ -32,14 +32,14 @@ def mixed24():
 
 @pytest.fixture(scope="session")
 def hermite_table_60(hermite):
-    return oz.build_recurrence(hermite, 60)
+    return oz.get_table(hermite, 60)
 
 
 @pytest.fixture(scope="session")
 def hermite_table_101(hermite):
-    return oz.build_recurrence(hermite, 101)
+    return oz.get_table(hermite, 101)
 
 
 @pytest.fixture(scope="session")
 def hermite_table_1001(hermite):
-    return oz.build_recurrence(hermite, 1001)
+    return oz.get_table(hermite, 1001)

