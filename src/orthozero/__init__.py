@@ -23,7 +23,6 @@ from .kac import (
 )
 from .montecarlo import (
     CoeffDist,
-    CountConfig,
     CountResult,
     EmpiricalMeasure,
     McResult,

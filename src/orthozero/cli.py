@@ -99,17 +99,17 @@ def cmd_recurrence(ns) -> int:
 def cmd_kac(ns) -> int:
     if ns.full_line == (ns.interval is not None):
         raise DomainError("kac needs one of --interval LO HI or --full-line")
+    if ns.scaled and ns.basis == "monomial":
+        raise DomainError("--scaled applies to the orthonormal basis")
+    if ns.scaled and ns.full_line:
+        raise DomainError("--scaled needs --interval inside (-1, 1)")
     if ns.basis == "monomial":
-        if ns.scaled:
-            raise DomainError("--scaled applies to the orthonormal basis")
         prof = kac.expected_zeros_monomial(
             ns.n, None if ns.full_line else tuple(ns.interval), tol=ns.tol)
     else:
         spec = weights.parse_weight(ns.weight)
         table = orthopoly.get_table(spec, ns.n + 1)
         if ns.scaled:
-            if ns.full_line:
-                raise DomainError("--scaled needs --interval inside (-1, 1)")
             val = kac.scaled_expected_zeros(
                 spec, table, ns.n, ns.interval[0], ns.interval[1], tol=ns.tol)
             _write(ns.output, "scaled_expected_zeros_per_n\n" + fmt(val) + "\n")

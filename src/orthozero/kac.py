@@ -13,7 +13,6 @@ in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .orthopoly import RecurrenceTable, kernel_triple_many
 from .quadrature import adaptive_gl
-from .scaling import ScalingInfo, solve_mrs
+from .scaling import solve_mrs
 from .weights import WeightSpec
 
 
@@ -32,15 +31,13 @@ class ZeroDensityProfile:
     `clamped_fraction` is the share of quadrature nodes where rounding made
     A C - B^2 negative before clamping; `worst_clamp` is the most negative
     value relative to A C at such nodes.  `tail_estimate` is the certified
-    remainder outside `interval` (zero unless the full-line route added
-    one, in which case it is already included in expected_count and its
-    quadrature error)."""
+    remainder outside the sampled core (zero unless the full-line route
+    added one, in which case it is already included in expected_count and
+    its quadrature error)."""
 
-    n: int
     samples_x: np.ndarray
     samples_density: np.ndarray
     expected_count: float
-    interval: tuple[float, float]
     quadrature_error: float
     clamped_fraction: float = 0.0
     worst_clamp: float = 0.0
@@ -108,9 +105,9 @@ def expected_zeros(table: RecurrenceTable, n: int, interval: tuple[float, float]
         val, err, xs, fs = adaptive_gl(dens, lo, hi, tol=tol, presplit=[
             *shoulder, *(-p for p in shoulder), *np.linspace(lo, hi, 9)[1:-1]])
     return ZeroDensityProfile(
-        n=n, samples_x=xs, samples_density=fs, expected_count=val,
-        interval=(lo, hi), quadrature_error=err,
-        clamped_fraction=stats.fraction(), worst_clamp=stats.worst)
+        samples_x=xs, samples_density=fs, expected_count=val,
+        quadrature_error=err, clamped_fraction=stats.fraction(),
+        worst_clamp=stats.worst)
 
 
 def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
@@ -139,9 +136,8 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
     nodes = stats.nodes + len(core.samples_x)
     clamped = stats.clamped + core.clamped_fraction * len(core.samples_x)
     return ZeroDensityProfile(
-        n=n, samples_x=core.samples_x, samples_density=core.samples_density,
+        samples_x=core.samples_x, samples_density=core.samples_density,
         expected_count=core.expected_count + tval,
-        interval=(-math.inf, math.inf),
         quadrature_error=core.quadrature_error + terr,
         clamped_fraction=clamped / nodes if nodes else 0.0,
         worst_clamp=min(core.worst_clamp, stats.worst),
@@ -149,8 +145,7 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
 
 
 def scaled_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
-                          a: float, b: float, tol: float = 1e-6,
-                          info: ScalingInfo | None = None) -> float:
+                          a: float, b: float, tol: float = 1e-6) -> float:
     """(1/n) E[N over the expanded image of [a, b]] for [a, b] in (-1, 1).
 
     Counting zeros of the contracted polynomial on [a, b] is identical to
@@ -158,8 +153,7 @@ def scaled_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     contraction is a bijection."""
     if not -1.0 < a < b < 1.0:
         raise DomainError(f"[{a}, {b}] must be a subinterval of (-1, 1)")
-    if info is None:
-        info = solve_mrs(spec, n)
+    info = solve_mrs(spec, n)
     prof = expected_zeros(table, n, (float(info.expand(a)), float(info.expand(b))),
                           tol=tol, edge=info.a_n)
     return prof.expected_count / n
@@ -235,11 +229,10 @@ def expected_zeros_monomial(n: int, interval: tuple[float, float] | None = None,
         val, err, xs, fs = adaptive_gl(f, 0.0, 1.0, tol=tol / 4.0,
                                        presplit=[1.0 - 2.0 / n if n > 4 else 0.5])
         return ZeroDensityProfile(
-            n=n, samples_x=xs, samples_density=fs, expected_count=4.0 * val,
-            interval=(-math.inf, math.inf), quadrature_error=4.0 * err)
+            samples_x=xs, samples_density=fs, expected_count=4.0 * val,
+            quadrature_error=4.0 * err)
     lo, hi = float(interval[0]), float(interval[1])
     presplit = [p for p in (-1.0, 0.0, 1.0)]
     val, err, xs, fs = adaptive_gl(f, lo, hi, tol=tol, presplit=presplit)
-    return ZeroDensityProfile(n=n, samples_x=xs, samples_density=fs,
-                              expected_count=val, interval=(lo, hi),
-                              quadrature_error=err)
+    return ZeroDensityProfile(samples_x=xs, samples_density=fs,
+                              expected_count=val, quadrature_error=err)

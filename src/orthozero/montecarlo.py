@@ -76,62 +76,67 @@ def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountConfig:
-    """Controls for the sign-change zero counter: the grid must reach
-    `pad` * a_n to count every zero, and holds at most `max_grid` points
-    (beyond that it raises, or truncates the far tail and reports the
-    count incomplete)."""
+    """The counting grid reaches at least `pad` * a_n; the far-tail rule
+    below carries it much further (to about 34 a_n)."""
 
     pad: float = 1.5
-    max_grid: int = 2_000_000
 
 
 @dataclass(frozen=True)
 class CountResult:
     count: int
     zeros: np.ndarray
-    complete: bool
 
 
 # The grid step inside the support is _GRID_FACTOR / sigma_{n+1}(x) (the
 # expected local zero spacing is ~ sqrt(3)/sigma) and spans |x| <= _EDGE a_n;
 # outside, the grid grows by _GEO_RATIO per step until the Cauchy-type far
 # tail of the zero density, ~ 2 b_n/(pi x), drops below _TAIL_MASS expected
-# zeros.  Zeros are bisected to width _BISECT_REL * a_n.
+# zeros.  Zeros are bisected to width _BISECT_REL * a_n.  A grid of more
+# than _MAX_GRID points raises BudgetError: it is never cut short.
 _GRID_FACTOR = 0.1
 _EDGE = 1.02
 _TAIL_MASS = 0.02
 _GEO_RATIO = 1.12
 _BISECT_REL = 1e-12
+_MAX_GRID = 2_000_000
 
 _GRID_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def make_count_grid(spec: WeightSpec, info: ScalingInfo, table: RecurrenceTable,
-                    cfg: CountConfig = CountConfig()) -> np.ndarray:
+def make_count_grid(spec: WeightSpec, info: ScalingInfo,
+                    table: RecurrenceTable) -> np.ndarray:
     """Evaluation grid for counting zeros of degree info.n - 1 polynomials,
     read-only and cached on the weight content (as get_table keys it),
-    info, the table's b_n and cfg.
+    info and the table's b_n.
 
     info must be the scaling data for n + 1 (the density that sets the local
     zero spacing).  Near the support edge the step is floored at the
     edge-scaling scale a n^(-2/3), where zero spacings stop shrinking; the
     capped-step region runs a little past the edge before the geometric
-    tail takes over."""
+    tail takes over.  Raises BudgetError when the whole grid would exceed
+    _MAX_GRID points."""
     bn = table.b(info.n - 1)
-    key = (spec.q if spec.fingerprint is None else spec.fingerprint,
-           info, bn, cfg)
+    key = (spec.q if spec.fingerprint is None else spec.fingerprint, info, bn)
     grid = _GRID_CACHE.get(key)
     if grid is None:
-        grid = _build_grid(spec, info, bn, cfg)
+        grid = _build_grid(spec, info, bn)
         grid.flags.writeable = False
         _GRID_CACHE[key] = grid
     return grid
 
 
-def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float,
-                cfg: CountConfig) -> np.ndarray:
+def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float) -> np.ndarray:
     a = info.a_n
     npl = info.n
+    edge = _EDGE * a
+    reach = max(CountConfig.pad * a, 4.0 * bn / (math.pi * _TAIL_MASS))
+    tail = [edge]
+    while tail[-1] < reach:
+        tail.append(tail[-1] * _GEO_RATIO)
+    tail = np.array(tail[1:])
+    # the inner walk may use what the two tails leave of the budget
+    room = _MAX_GRID - 2 * tail.size
     # density profile on a fixed fine grid, then linear interpolation
     s_grid = np.linspace(-1.0, 1.0, 2001)[1:-1]
     sig_star = (a / npl) * equilibrium_density_many(
@@ -142,26 +147,14 @@ def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float,
         s = min(max(x / a, -1.0 + 1e-9), 1.0 - 1e-9)
         return max(float(np.interp(s, s_grid, sig_star)) * npl / a, floor)
 
-    edge = _EDGE * a
     pts = [-edge]
     x = -edge
     while x < edge:
         x += _GRID_FACTOR / sigma_at(x)
         pts.append(min(x, edge))
-        if len(pts) > cfg.max_grid:
-            raise BudgetError(f"counting grid exceeded {cfg.max_grid} points")
-    inner = np.array(pts)
-    reach = max(cfg.pad * a, 4.0 * bn / (math.pi * _TAIL_MASS))
-    tail = [edge]
-    while tail[-1] < reach:
-        tail.append(tail[-1] * _GEO_RATIO)
-    tail = np.array(tail[1:])
-    # if the far tail does not fit the budget, keep a truncated window; the
-    # counter reports such counts as incomplete
-    room = (cfg.max_grid - inner.size) // 2
-    if tail.size > room:
-        tail = tail[:room]
-    return np.concatenate([-tail[::-1], inner, tail])
+        if len(pts) > room:
+            raise BudgetError(f"counting grid exceeded {_MAX_GRID} points")
+    return np.concatenate([-tail[::-1], np.array(pts), tail])
 
 
 _SUBDIV_DEPTH = 3
@@ -192,12 +185,6 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
         if derivs:
             Sd += Ct[k] * d
     return S, Sd
-
-
-def _grid_complete(grid: np.ndarray, info: ScalingInfo,
-                   cfg: CountConfig) -> bool:
-    """False when a budget-truncated grid stops short of pad * a_n."""
-    return bool(grid[-1] >= cfg.pad * info.a_n - 1e-12 * info.a_n)
 
 
 def _hermite_min(f0, f1, m0, m1):
@@ -310,14 +297,13 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
-                     coeffs: np.ndarray, info: ScalingInfo,
-                     cfg: CountConfig = CountConfig()) -> CountResult:
+                     coeffs: np.ndarray, info: ScalingInfo) -> CountResult:
     """Count real zeros of sum c_j p_j by sign changes of the weighted
     polynomial (same zeros, no overflow) on the make_count_grid grid,
     bracketing each change and bisecting to width _BISECT_REL * a_n."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size - 1
-    grid = make_count_grid(spec, info, table, cfg)
+    grid = make_count_grid(spec, info, table)
     counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
                                         info.a_n)
     if lo.size:
@@ -332,8 +318,7 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
             hi = np.where(left, mid, hi)
             lo = np.where(left, lo, mid)
             sl = np.where(left | (sm == 0), sl, sm)
-    return CountResult(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)),
-                       complete=_grid_complete(grid, info, cfg))
+    return CountResult(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +415,16 @@ def eigen_measures(table: RecurrenceTable, info: ScalingInfo,
 
 @dataclass(frozen=True)
 class McResult:
-    """Ensemble statistics; `complete` is False when the counting grid was
-    cut short by its budget, so counts may be low."""
+    """Ensemble statistics of the per-trial real-zero counts."""
 
     mean: float
     stderr: float
     counts: np.ndarray
     trials: int
-    complete: bool = True
 
 
 def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                       trials: int, dist: CoeffDist, seed: int,
-                      cfg: CountConfig = CountConfig(),
                       info: ScalingInfo | None = None) -> McResult:
     """Mean and standard error of the real-zero count over independent
     trials."""
@@ -450,7 +432,7 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
         raise DomainError("need at least 2 trials for a standard error")
     if info is None:
         info = solve_mrs(spec, n + 1)
-    grid = make_count_grid(spec, info, table, cfg)
+    grid = make_count_grid(spec, info, table)
     counts = np.zeros(trials)
     chunk = max(1, min(trials, 64_000_000 // (8 * grid.size)))
     for t0 in range(0, trials, chunk):
@@ -459,5 +441,4 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
         counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))
-    return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials,
-                    complete=_grid_complete(grid, info, cfg))
+    return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials)

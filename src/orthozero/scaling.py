@@ -192,39 +192,40 @@ class DensityCurve:
     values: np.ndarray
     mass: float
     err_estimate: float
-    label: str
     target_mass: float
 
 
-def sigma_curve(spec: WeightSpec, info: ScalingInfo, tol: float = 1e-8,
-                m: int = 512) -> DensityCurve:
+_CURVE_NODES = 512  # Chebyshev nodes of a sampled density curve
+
+
+def sigma_curve(spec: WeightSpec, info: ScalingInfo,
+                tol: float = 1e-8) -> DensityCurve:
     """sigma_n sampled on second-kind Chebyshev nodes of the support; the
     rule with weight sqrt(1-v^2) integrates the edge factor exactly."""
-    v, w = cheb_u_rule(m)
+    v, w = cheb_u_rule(_CURVE_NODES)
     x = info.expand(v)
     a = info.a_n
     vals = equilibrium_density_many(spec, info, x, tol=tol)
     # sigma_n(x) = sqrt(a^2-x^2) g(x); mass = a^2 sum w g(a v)
     g = vals / np.maximum(info.rho(x), 1e-300)
     mass = float(a * a * np.sum(w * g))
-    v2, w2 = cheb_u_rule(2 * m + 1)
+    v2, w2 = cheb_u_rule(2 * _CURVE_NODES + 1)
     x2 = info.expand(v2)
     vals2 = equilibrium_density_many(spec, info, x2, tol=tol)
     mass2 = float(a * a * np.sum(w2 * vals2 / np.maximum(info.rho(x2), 1e-300)))
     err = abs(mass2 - mass) + tol * info.n
     return DensityCurve(x=x, values=vals, mass=mass2, err_estimate=err,
-                        label=f"sigma_{info.n}[{spec.label}]",
                         target_mass=float(info.n))
 
 
-def sigma_star_curve(spec: WeightSpec, info: ScalingInfo, tol: float = 1e-8,
-                     m: int = 512) -> DensityCurve:
-    inner = sigma_curve(spec, info, tol=tol * info.n, m=m)
+def sigma_star_curve(spec: WeightSpec, info: ScalingInfo,
+                     tol: float = 1e-8) -> DensityCurve:
+    inner = sigma_curve(spec, info, tol=tol * info.n)
     scale = info.a_n / info.n
     return DensityCurve(x=info.contract(inner.x), values=scale * inner.values,
                         mass=inner.mass / info.n,
                         err_estimate=inner.err_estimate / info.n,
-                        label=f"sigma*_{info.n}[{spec.label}]", target_mass=1.0)
+                        target_mass=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_kac_scaled_interval():
     assert code == 2
 
 
+def test_kac_rejects_scaled_full_line_before_building_a_table(capsys):
+    from orthozero import orthopoly
+
+    spec = oz.parse_weight("freud:0.5:2")
+    assert run(["kac", "--n", "777", "--scaled", "--full-line"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (spec.fingerprint, 778) not in orthopoly._TABLE_CACHE
+
+
 @pytest.mark.parametrize("basis", ["orthonormal", "monomial"])
 def test_kac_needs_interval_or_full_line(basis, capsys):
     assert run(["kac", "--n", "10", "--basis", basis]) == 2
@@ -92,6 +101,15 @@ def test_simulate_rejects_negative_imag_tol(capsys):
     assert run(["simulate", "--n", "10", "--trials", "2",
                 "--imag-tol=-1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_over_grid_budget_exits_1(monkeypatch, capsys):
+    from orthozero import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_GRID_CACHE", {})
+    monkeypatch.setattr(montecarlo, "_MAX_GRID", 50)
+    assert run(["simulate", "--n", "37", "--trials", "2"]) == 1
+    assert capsys.readouterr().err.startswith("numerical failure")
 
 
 def test_density_table():

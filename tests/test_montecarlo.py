@@ -6,7 +6,7 @@ from scipy.special import roots_hermite
 
 import orthozero as oz
 from orthozero import montecarlo as mc
-from orthozero.errors import DegenerateSampleError, DomainError
+from orthozero.errors import BudgetError, DegenerateSampleError, DomainError
 
 
 def test_sample_reproducibility():
@@ -306,43 +306,50 @@ def test_rademacher_partition_fractions(hermite):
     assert np.max(np.abs(fractions - masses)) <= 0.03
 
 
-def test_grid_budget_partial_flag(hermite, hermite_table_60):
-    from orthozero.errors import BudgetError
-
-    d = oz.parse_dist("gaussian")
-    info = oz.solve_mrs(hermite, 31)
-    s = oz.sample_coeffs(d, 0, 0, 30)
-    full = oz.count_real_zeros(hermite, hermite_table_60, s, info)
-    assert full.complete
-    grid = oz.make_count_grid(hermite, info, hermite_table_60)
-    n_inner = int(np.sum(np.abs(grid) <= 1.03 * info.a_n))
-    tight = oz.CountConfig(max_grid=n_inner + 4)
-    res = oz.count_real_zeros(hermite, hermite_table_60, s, info, cfg=tight)
-    assert not res.complete
-    assert res.count <= full.count
-    with pytest.raises(BudgetError):
-        oz.count_real_zeros(hermite, hermite_table_60, s, info,
-                            cfg=oz.CountConfig(max_grid=50))
-
-
 def test_partition_validation():
     for bad in ((0.5, -0.5), (0.0, 0.0), (1.0,), ((0.0, 1.0),)):
         with pytest.raises(DomainError):
             mc.partition_edges(bad)
 
 
-def test_mc_reports_truncated_grid(hermite, hermite_table_60):
-    # a budget-truncated grid loses the far-tail zeros; the ensemble says so
+@pytest.mark.parametrize("budget", ["tail", "inner", "tiny"])
+def test_grid_over_budget_raises(hermite, hermite_table_60, monkeypatch,
+                                 budget):
+    # a grid is whole or the count fails: over budget, neither the counter
+    # nor the ensemble counts on a cut-short grid, and nothing is cached
     d = oz.parse_dist("gaussian")
-    info = oz.solve_mrs(hermite, 41)
+    info = oz.solve_mrs(hermite, 31)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     n_inner = int(np.sum(np.abs(grid) <= 1.03 * info.a_n))
-    full = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 2, d, seed=0)
-    tight = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 2, d, seed=0,
-                                 cfg=oz.CountConfig(max_grid=n_inner + 4))
-    assert full.complete
-    assert not tight.complete
-    assert tight.mean < full.mean
+    n_tails = grid.size - n_inner
+    assert n_tails > 4 and n_inner > 10
+    monkeypatch.setattr(mc, "_GRID_CACHE", {})
+    monkeypatch.setattr(mc, "_MAX_GRID", {"tail": n_inner + 4,
+                                          "inner": n_tails + 10,
+                                          "tiny": 50}[budget])
+    s = oz.sample_coeffs(d, 0, 0, 30)
+    with pytest.raises(BudgetError):
+        oz.count_real_zeros(hermite, hermite_table_60, s, info)
+    with pytest.raises(BudgetError):
+        oz.mc_expected_zeros(hermite, hermite_table_60, 30, 2, d, seed=0)
+    assert mc._GRID_CACHE == {}
+
+
+@pytest.mark.parametrize("weight,n", [("freud:0.5:2", 30), ("freud:0.5:2", 40),
+                                      ("freud:0.5:2", 200), ("freud:1:4", 100),
+                                      ("mixed24", 40)])
+def test_count_grid_reaches_pad(weight, n, mixed24):
+    # the far-tail rule carries every grid past pad * a_n, where no zero is
+    # left uncounted; the explicit-info call form counts the same
+    spec = mixed24 if weight == "mixed24" else oz.parse_weight(weight)
+    table = oz.get_table(spec, n + 1)
+    info = oz.solve_mrs(spec, n + 1)
+    grid = oz.make_count_grid(spec, info, table)
+    assert grid[-1] >= mc.CountConfig().pad * info.a_n
+    d = oz.parse_dist("gaussian")
+    default = oz.mc_expected_zeros(spec, table, n, 3, d, seed=2)
+    given = oz.mc_expected_zeros(spec, table, n, 3, d, seed=2, info=info)
+    assert np.array_equal(default.counts, given.counts)
 
 
 def test_mc_degree_beyond_table(freud14):
@@ -357,7 +364,7 @@ def test_mc_degree_beyond_table(freud14):
 
 
 def test_count_grid_cache(hermite, hermite_table_60):
-    # one grid per weight content, scaling data, table b_n and config,
+    # one grid per weight content, scaling data and table b_n,
     # built once and shared read-only
     info = oz.solve_mrs(hermite, 41)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
@@ -367,9 +374,6 @@ def test_count_grid_cache(hermite, hermite_table_60):
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 0.0
-    small = oz.make_count_grid(hermite, info, hermite_table_60,
-                               oz.CountConfig(max_grid=grid.size - 10))
-    assert small is not grid and small.size < grid.size
     # custom weights key on their Q, never on the shared label
     w1, w2 = (oz.make_custom(q=lambda x, c=c: c * x**2,
                              q1=lambda x, c=c: 2.0 * c * x,
