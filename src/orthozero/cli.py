@@ -131,15 +131,18 @@ def cmd_kac(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    if ns.imag_tol is not None and not ns.imag_tol >= 0:
+        raise DomainError(f"--imag-tol must be >= 0, got {ns.imag_tol}")
     spec = weights.parse_weight(ns.weight)
     dist = montecarlo.parse_dist(ns.dist)
     table = orthopoly.get_table(spec, ns.n)
     edges = montecarlo.partition_edges(ns.partition) if ns.partition else None
+    # count first: a grid over budget fails before any eigensolve
+    res = montecarlo.mc_expected_zeros(spec, table, ns.n, ns.trials, dist,
+                                       ns.seed)
     # the partition shares come from the same eigenvalues as the KS statistic
     ms = montecarlo.eigen_measures(table, scaling.solve_mrs(spec, ns.n), dist,
                                    ns.seed, ns.trials, ns.imag_tol)
-    res = montecarlo.mc_expected_zeros(spec, table, ns.n, ns.trials, dist,
-                                       ns.seed)
     rows = ["trial,count"]
     rows += [f"{t},{int(c)}" for t, c in enumerate(res.counts)]
     summary = {

@@ -159,11 +159,12 @@ def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float) -> np.ndarray:
 
 _SUBDIV_DEPTH = 3
 _SUBDIV_FAN = 6
-# an inner derivative-only cell is declared zero-free when the cubic Hermite
-# interpolant of its end values and slopes stays above this fraction of the
-# larger end value; the dense-scan audit (tests/test_pair_rescue.py) finds
-# the interpolant's relative error on the cells it clears below a third of
-# it, on grids stepped at _GRID_FACTOR / sigma.
+# an inner derivative-only cell, of the grid or of a subdivision fan, is
+# declared zero-free when the cubic Hermite interpolant of its end values and
+# slopes stays above this fraction of the larger end value; the dense-scan
+# audits (tests/test_pair_rescue.py) find the interpolant's relative error on
+# the cells it clears below a third of it, on grids stepped at
+# _GRID_FACTOR / sigma and on the fan sub-cells of depths 1 and 2.
 _EXCLUDE_MARGIN = 0.5
 # coefficient block of one subdivision sweep
 _SLAB_BYTES = 8_000_000
@@ -173,10 +174,11 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
                   n: int, derivs: bool):
     """Accumulate sum_j Ct[j, i] p_j(x[i]) (and optionally the derivative
     combination) point by point without storing the polynomial matrix.
-    Returns mantissas only: their signs are the true combination's."""
+    Returns mantissas and their per-point exponents, as poly_matrix does:
+    the true combination is S[i] * 2^expo[i]."""
     S = np.zeros(x.size)
     Sd = np.zeros(x.size) if derivs else None
-    for k, (p, d, big, _) in enumerate(_sweep(table, x, n, derivs)):
+    for k, (p, d, big, expo) in enumerate(_sweep(table, x, n, derivs)):
         if big is not None:
             S[big] /= _SCALE
             if derivs:
@@ -184,7 +186,7 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
         S += Ct[k] * p
         if derivs:
             Sd += Ct[k] * d
-    return S, Sd
+    return S, Sd, expo
 
 
 def _hermite_min(f0, f1, m0, m1):
@@ -206,20 +208,23 @@ def _hermite_min(f0, f1, m0, m1):
 
 
 def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
-                  grid: np.ndarray, pf: np.ndarray, a_n: float):
+                  xs: np.ndarray, pf: np.ndarray, a_n: float):
     """Rows and cells that may hide a pair of zeros: a derivative flip and
     no value flip (Rolle), less the inner cells (both ends within
     _EDGE * a_n) whose Hermite interpolant stays above _EXCLUDE_MARGIN of
-    the larger end value.  V, Vd are the combination mantissas on the grid
-    and expo their per-point exponents; the ends of a cell are aligned to
-    the larger exponent before comparison."""
+    the larger end value.  V, Vd are the combination mantissas, one row per
+    coefficient row; expo their exponents and xs the points, either one row
+    shared by all (the grid) or one row each (a fan).  The ends of a cell
+    are aligned to the larger exponent before comparison."""
     edge = _EDGE * a_n
+    xs = np.broadcast_to(xs, V.shape)
+    expo = np.broadcast_to(expo, V.shape)
     Sd = np.sign(Vd)
     t, c = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
-    x0, x1 = grid[c], grid[c + 1]
+    x0, x1 = xs[t, c], xs[t, c + 1]
     inner = (np.abs(x0) <= edge) & (np.abs(x1) <= edge)
     t_in, c_in = t[inner], c[inner]
-    e0, e1 = expo[c_in], expo[c_in + 1]
+    e0, e1 = expo[t_in, c_in], expo[t_in, c_in + 1]
     top = np.maximum(e0, e1)
     f0 = np.ldexp(V[t_in, c_in], e0 - top)
     f1 = np.ldexp(V[t_in, c_in + 1], e1 - top)
@@ -243,9 +248,10 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     Sign changes of the combination on the grid give the base brackets.  A
     hidden pair of zeros inside a cell forces (Rolle) a sign change of the
     derivative there; such cells, less those the Hermite exclusion test
-    clears (see _rescue_cells), are subdivided a few levels, every fan
-    point of a level evaluated in one sweep, before being declared
-    zero-free.
+    clears (see _rescue_cells), are split into a fan of _SUBDIV_FAN
+    sub-cells, every fan point of a level evaluated in one sweep.  The
+    same rule picks which sub-cells are split again, down to
+    _SUBDIV_DEPTH levels; a cell it drops is declared zero-free.
 
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
     sign change; a count also includes grid points where a value vanishes.
@@ -275,18 +281,17 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
                 break
             xs = act_lo[:, None] + (act_hi - act_lo)[:, None] * frac[None, :]
             Ct = np.ascontiguousarray(np.repeat(C[act_t], frac.size, axis=0).T)
-            sv, dv = _combo_values(table, Ct, xs.ravel(), n, derivs=True)
-            sp = np.sign(sv).reshape(xs.shape)
-            sd = np.sign(dv).reshape(xs.shape)
+            sv, dv, ex = (a.reshape(xs.shape) for a in _combo_values(
+                table, Ct, xs.ravel(), n, derivs=True))
+            sp = np.sign(sv)
             sub_pf = (sp[:, :-1] * sp[:, 1:]) < 0
-            sub_df = (sd[:, :-1] * sd[:, 1:]) < 0
             fi, fj = np.nonzero(sub_pf)
             if fi.size:
                 br_t.append(act_t[fi])
                 br_lo.append(xs[fi, fj])
                 br_hi.append(xs[fi, fj + 1])
                 br_sl.append(sp[fi, fj])
-            ki, kj = np.nonzero(sub_df & ~sub_pf)
+            ki, kj = _rescue_cells(sv, dv, ex, xs, sub_pf, a_n)
             act_t = act_t[ki]
             act_lo, act_hi = xs[ki, kj], xs[ki, kj + 1]
 
@@ -312,7 +317,7 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            sv, _ = _combo_values(table, Ct, mid, n, derivs=False)
+            sv = _combo_values(table, Ct, mid, n, derivs=False)[0]
             sm = np.sign(sv)
             left = sl * sm < 0
             hi = np.where(left, mid, hi)
@@ -381,9 +386,8 @@ def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
 
 
 def ks_to_ullman(measure: EmpiricalMeasure, alpha: float) -> float:
-    """sup_x |F_emp(x) - F_limit(x)|, exact over the step function's jumps."""
-    if not (alpha > 1 or math.isinf(alpha)):
-        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
+    """sup_x |F_emp(x) - F_limit(x)|, exact over the step function's jumps;
+    ullman_cdf_many rejects alpha outside (1, inf]."""
     pts = measure.scaled_points
     n = pts.size
     F = ullman_cdf_many(alpha, pts)

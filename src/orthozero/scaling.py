@@ -280,14 +280,14 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
     algebraic-weight rule; elsewhere an adaptive rule with a split at the
     boundary-layer scale reaches `tol` absolute.
     """
-    if math.isinf(alpha):
+    if not alpha > 1:
+        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
+    if alpha == math.inf:
         if abs(x) >= 1.0:
             if abs(x) == 1.0:
                 raise SingularityError("arcsine density diverges at |x| = 1")
             raise DomainError(f"|x| must be <= 1, got {x}")
         return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
-    if not alpha > 1:
-        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     if abs(x) > 1.0:
         raise DomainError(f"|x| must be <= 1, got {x}")
     if abs(x) == 1.0:
@@ -378,14 +378,14 @@ def _half_mass(alpha: float, b: float, eps: float) -> float:
 
 def ullman_cdf(alpha: float, x: float, tol: float = 1e-10) -> float:
     """Cumulative mass of the limit density on [-1, x]."""
+    if not alpha > 1:
+        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     if x <= -1.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    if math.isinf(alpha):
+    if alpha == math.inf:
         return (math.asin(x) + math.pi / 2.0) / math.pi
-    if not alpha > 1:
-        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     hm = _half_mass(alpha, abs(x), eps=tol)
     return 0.5 + math.copysign(hm, x)
 
@@ -394,8 +394,10 @@ def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
     """Vectorized CDF on a fixed two-panel Gauss rule (used by the KS
     statistic, absolute error well below 1e-8 away from b ~ 0 and bounded by
     the vanishing local mass there)."""
+    if not alpha > 1:
+        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     xs = np.asarray(xs, dtype=float)
-    if math.isinf(alpha):
+    if alpha == math.inf:
         return (np.arcsin(np.clip(xs, -1.0, 1.0)) + np.pi / 2.0) / np.pi
     b = np.clip(np.abs(xs), 0.0, 1.0)[:, None]
     ug, wg = gl_rule(100)

@@ -9,7 +9,6 @@ grid; the report keeps every witness so failures are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -84,7 +83,7 @@ def make_freud(c: float, lam: float) -> WeightSpec:
 def make_custom(q, q1, q2, even: bool, alpha: float, label: str) -> WeightSpec:
     """Wrap user-supplied Q, Q', Q''.  Derivatives are trusted here and
     cross-checked against finite differences by validate_class."""
-    if not (alpha > 1 or math.isinf(alpha)):
+    if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     return WeightSpec(q=q, q1=q1, q2=q2, even=even, alpha=float(alpha), label=label)
 

@@ -97,7 +97,15 @@ def test_density_rejects_empty_table(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_simulate_rejects_negative_imag_tol(capsys):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after the failure should have been raised")
+
+
+def test_simulate_rejects_negative_imag_tol(monkeypatch, capsys):
+    from orthozero import montecarlo
+
+    # the flag is checked before the count runs
+    monkeypatch.setattr(montecarlo, "mc_expected_zeros", _must_not_run)
     assert run(["simulate", "--n", "10", "--trials", "2",
                 "--imag-tol=-1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -108,6 +116,8 @@ def test_simulate_over_grid_budget_exits_1(monkeypatch, capsys):
 
     monkeypatch.setattr(montecarlo, "_GRID_CACHE", {})
     monkeypatch.setattr(montecarlo, "_MAX_GRID", 50)
+    # the count runs first, so the budget fails before any eigensolve
+    monkeypatch.setattr(montecarlo, "eigen_measures", _must_not_run)
     assert run(["simulate", "--n", "37", "--trials", "2"]) == 1
     assert capsys.readouterr().err.startswith("numerical failure")
 

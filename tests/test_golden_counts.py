@@ -2,7 +2,8 @@
 
 The hashes were captured with the blanket pair-rescue subdivision (every
 cell with a derivative flip and no value flip subdivided 3 levels deep);
-the Hermite exclusion test must find exactly the same brackets, so the
+the Hermite exclusion test, applied to the grid cells and to the fan
+sub-cells of every level, must find exactly the same brackets, so the
 ensemble counts and the refined zero locations stay bit for bit the same.
 The (200, gaussian) zero hash was recaptured when the half-mesh Stieltjes
 build moved three b_k of the n_max 201 table by one ulp; counts did not

@@ -1,17 +1,20 @@
 """Audit of the Hermite exclusion test that decides which derivative-only
-cells the zero counter subdivides.
+cells the zero counter subdivides, on the grid and at every fan level.
 
 A dense 401-point scan of every derivative-only cell (a derivative sign
-flip and no value flip between the ends) is the reference.  Every cell
+flip and no value flip between the ends) is the reference: the grid cells,
+and the fan sub-cells of subdivision depths 1 and 2 (past the last depth,
+_SUBDIV_DEPTH = 3, no cell is split whatever the test says).  Every cell
 whose scan shows a sign change must be kept and get its zeros counted.  On
 the inner cells the test clears, the cubic Hermite interpolant H of the end
 data must stay within a third of the exclusion margin of the scanned
 values, relative to the larger end value M: the test clears a cell when
 min H > margin * M, so |p - H| < margin * M / 3 leaves p above
-2 margin M / 3 on the scan.  Cells the test keeps are subdivided, and their
-residual is not bounded here: near the support edge it reaches 0.35 in
-1000 rademacher trials at n = 200, always in a cell whose interpolant dips
-far below the margin.
+2 margin M / 3 on the scan.  On fan sub-cells, a sixth or a thirty-sixth
+of a grid cell wide, the residual is orders of magnitude below that.
+Cells the test keeps are subdivided, and their residual is not bounded
+here: near the support edge it reaches 0.35 in 1000 rademacher trials at
+n = 200, always in a cell whose interpolant dips far below the margin.
 """
 
 import numpy as np
@@ -29,60 +32,107 @@ def _hermite_basis(s):
             -2 * s**3 + 3 * s**2, s**3 - s**2)
 
 
-def audit(n, trials, law):
-    """(cells with a scanned pair, largest Hermite residual on the inner
-    cells the test clears) over trials 0..trials-1 at seed 0; asserts
-    every scanned pair is kept and counted."""
+def _setup(n, trials, law):
     spec = oz.parse_weight("freud:0.5:2")
     table = oz.build_recurrence(spec, n + 1)
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
-    edge = mc._EDGE * info.a_n
     C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n)
                   for t in range(trials)])
+    return table, info, grid, C
+
+
+def scan(table, C, t, x0, x1, kept, brackets, edge):
+    """Dense scan of the derivative-only cells [x0, x1] of rows t; kept
+    flags the cells the test keeps.  Asserts every scanned sign change lies
+    in a kept cell and is counted; returns (cells with a scanned pair,
+    largest Hermite residual on the inner cells the test clears)."""
+    n = C.shape[1] - 1
+    bt, lo, hi, _ = brackets
+    s = np.linspace(0.0, 1.0, SCAN)
+    h00, h10, h01, h11 = _hermite_basis(s)
+    pairs = 0
+    worst = 0.0
+    for k0 in range(0, t.size, CELLS_PER_SCAN):
+        tk, a, b = (v[k0:k0 + CELLS_PER_SCAN] for v in (t, x0, x1))
+        xs = (a[:, None] + (b - a)[:, None] * s[None, :]).ravel()
+        Ps, Ds, e = oz.poly_matrix(table, xs, n, derivs=True)
+        v = np.einsum("ij,jis->is", C[tk], Ps.reshape(n + 1, tk.size, SCAN))
+        d = np.einsum("ij,jis->is", C[tk], Ds.reshape(n + 1, tk.size, SCAN))
+        e = e.reshape(tk.size, SCAN)
+
+        sg = np.sign(v)
+        changes = np.sum(sg[:, :-1] * sg[:, 1:] < 0, axis=1)
+        for k in np.nonzero(changes)[0]:
+            assert kept[k0 + k]
+            inside = (bt == tk[k]) & (lo >= a[k]) & (hi <= b[k])
+            assert np.sum(inside) >= changes[k]
+            pairs += 1
+
+        cleared = ((np.abs(a) <= edge) & (np.abs(b) <= edge)
+                   & ~kept[k0:k0 + CELLS_PER_SCAN])
+        if cleared.any():
+            top = np.maximum(e[:, 0], e[:, -1])[:, None]
+            f = np.ldexp(v, e - top)
+            m = np.ldexp(d, e - top) * (b - a)[:, None]
+            H = (f[:, :1] * h00 + m[:, :1] * h10 + f[:, -1:] * h01
+                 + m[:, -1:] * h11)
+            big = np.maximum(np.abs(f[:, 0]), np.abs(f[:, -1]))
+            resid = np.max(np.abs(f - H), axis=1) / big
+            worst = max(worst, float(np.max(resid[cleared])))
+    return pairs, worst
+
+
+def _flagged(rows, cells, kept_rows, kept_cells):
+    kept = set(zip(kept_rows.tolist(), kept_cells.tolist()))
+    return np.array([k in kept for k in zip(rows.tolist(), cells.tolist())],
+                    dtype=bool)
+
+
+def audit(n, trials, law):
+    """scan() over the derivative-only grid cells of trials 0..trials-1 at
+    seed 0."""
+    table, info, grid, C = _setup(n, trials, law)
     P, D, expo = oz.poly_matrix(table, grid, n, derivs=True)
     V, Vd = C @ P, C @ D
     S, Sd = np.sign(V), np.sign(Vd)
     pf = S[:, :-1] * S[:, 1:] < 0
     rows, cells = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
-    kept = set(zip(*(a.tolist() for a in
-                     mc._rescue_cells(V, Vd, expo, grid, pf, info.a_n))))
-    _, (bt, lo, hi, _) = mc._brackets(table, C, grid, n, info.a_n)
+    kept = _flagged(rows, cells,
+                    *mc._rescue_cells(V, Vd, expo, grid, pf, info.a_n))
+    _, brackets = mc._brackets(table, C, grid, n, info.a_n)
+    return scan(table, C, rows, grid[cells], grid[cells + 1], kept, brackets,
+                mc._EDGE * info.a_n)
 
-    s = np.linspace(0.0, 1.0, SCAN)
-    h00, h10, h01, h11 = _hermite_basis(s)
-    pairs = 0
-    worst = 0.0
-    for k0 in range(0, rows.size, CELLS_PER_SCAN):
-        t, c = rows[k0:k0 + CELLS_PER_SCAN], cells[k0:k0 + CELLS_PER_SCAN]
-        x0, x1 = grid[c], grid[c + 1]
-        xs = (x0[:, None] + (x1 - x0)[:, None] * s[None, :]).ravel()
-        Ps, Ds, e = oz.poly_matrix(table, xs, n, derivs=True)
-        v = np.einsum("ij,jis->is", C[t], Ps.reshape(n + 1, c.size, SCAN))
-        d = np.einsum("ij,jis->is", C[t], Ds.reshape(n + 1, c.size, SCAN))
-        e = e.reshape(c.size, SCAN)
 
-        sg = np.sign(v)
-        changes = np.sum(sg[:, :-1] * sg[:, 1:] < 0, axis=1)
-        for k in np.nonzero(changes)[0]:
-            assert (int(t[k]), int(c[k])) in kept
-            inside = (bt == t[k]) & (lo >= x0[k]) & (hi <= x1[k])
-            assert np.sum(inside) >= changes[k]
-            pairs += 1
+def fan_audit(n, trials, law, monkeypatch):
+    """scan() over the derivative-only fan sub-cells of subdivision depths
+    1 and 2 of trials 0..trials-1 at seed 0; one (pairs, worst residual)
+    per depth.  _brackets runs as one slab, so the grid call of
+    _rescue_cells comes first and each later call is the next depth."""
+    table, info, grid, C = _setup(n, trials, law)
+    rescue = mc._rescue_cells
+    levels = []
+    active = []  # coefficient row of each fan row at the current level
 
-        inner = (np.abs(x0) <= edge) & (np.abs(x1) <= edge)
-        top = np.maximum(e[:, 0], e[:, -1])[:, None]
-        f = np.ldexp(v, e - top)
-        m = np.ldexp(d, e - top) * (x1 - x0)[:, None]
-        H = (f[:, :1] * h00 + m[:, :1] * h10 + f[:, -1:] * h01
-             + m[:, -1:] * h11)
-        big = np.maximum(np.abs(f[:, 0]), np.abs(f[:, -1]))
-        resid = np.max(np.abs(f - H), axis=1) / big
-        cleared = inner & np.array([(a, b) not in kept for a, b in
-                                    zip(t.tolist(), c.tolist())], dtype=bool)
-        if cleared.any():
-            worst = max(worst, float(np.max(resid[cleared])))
-    return pairs, worst
+    def spy(V, Vd, expo, xs, pf, a_n):
+        t, c = rescue(V, Vd, expo, xs, pf, a_n)
+        if xs.ndim == 1:
+            active[:] = [t]
+            return t, c
+        Sd = np.sign(Vd)
+        i, j = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
+        levels.append((active[0][i], xs[i, j], xs[i, j + 1],
+                       _flagged(i, j, t, c)))
+        active[0] = active[0][t]
+        return t, c
+
+    monkeypatch.setattr(mc, "_rescue_cells", spy)
+    monkeypatch.setattr(mc, "_SLAB_BYTES", 1 << 40)
+    _, brackets = mc._brackets(table, C, grid, n, info.a_n)
+    monkeypatch.undo()
+    return [scan(table, C, *level, brackets, mc._EDGE * info.a_n)
+            for level in levels[:2]]
 
 
 # trials per case: enough that each case scans at least one hidden pair
@@ -94,6 +144,36 @@ def test_dense_scan_audit(n, trials, law):
     pairs, worst = audit(n, trials, law)
     assert pairs > 0  # the kept-and-counted check ran
     assert worst < mc._EXCLUDE_MARGIN / 3
+
+
+# trials per case: enough that each case holds a pair hidden in a depth-1
+# sub-cell (trials 1332, 44 and 899 at seed 0)
+@pytest.mark.parametrize("n,trials,law", [(50, 1400, "gaussian"),
+                                          (200, 45, "gaussian"),
+                                          (200, 900, "rademacher")])
+def test_dense_scan_audit_of_fan_levels(n, trials, law, monkeypatch):
+    (pairs, worst1), (_, worst2) = fan_audit(n, trials, law, monkeypatch)
+    assert pairs > 0  # the kept-and-counted check ran
+    assert max(worst1, worst2) < mc._EXCLUDE_MARGIN / 3
+
+
+@pytest.mark.parametrize("derivs", [True, False])
+def test_combo_values_exponents_match_poly_matrix(derivs):
+    # points where the sweep rescales: past 0.92 a_n at n = 200, and the
+    # geometric tail of the grid out to its end near 34 a_n
+    n = 200
+    table, info, grid, _ = _setup(n, 1, "gaussian")
+    xs = np.concatenate([np.linspace(0.8, 1.02, 12) * info.a_n, grid[-12:],
+                         grid[:12]])
+    P, D, expo = oz.poly_matrix(table, xs, n, derivs=derivs)
+    assert np.unique(expo).size >= 3  # rescales at 256, 1024 and 1280
+    Ct = np.random.default_rng(3).standard_normal((n + 1, xs.size))
+    S, Sd, e = mc._combo_values(table, Ct, xs, n, derivs=derivs)
+    assert np.array_equal(e, expo)
+    assert np.allclose(S, np.einsum("ji,ji->i", Ct, P), rtol=1e-9, atol=0)
+    if derivs:
+        assert np.allclose(Sd, np.einsum("ji,ji->i", Ct, D), rtol=1e-9,
+                           atol=0)
 
 
 def test_hermite_min_matches_dense_minimum():

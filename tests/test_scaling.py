@@ -214,6 +214,27 @@ def test_ullman_edges_and_domain():
         oz.ullman_density_alt(3.0, 1.0)
 
 
+_POINTS = oz.EmpiricalMeasure(scaled_points=np.array([-0.5, 0.3]), total=2,
+                              complex_count=0, imag_tol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda a: oz.make_custom(q=abs, q1=abs, q2=abs, even=True, alpha=a,
+                             label="bad"),
+    lambda a: oz.ks_to_ullman(_POINTS, a),
+    lambda a: oz.ullman_density(a, 0.3),
+    lambda a: oz.ullman_cdf(a, 0.3),
+    lambda a: oz.ullman_cdf_many(a, [0.3]),
+], ids=["make_custom", "ks_to_ullman", "ullman_density", "ullman_cdf",
+        "ullman_cdf_many"])
+def test_alpha_outside_one_to_inf_is_rejected(call, alpha):
+    # only alpha = +inf is the arcsine law; -inf and NaN used to pass the
+    # guard (or meet none) and come back as arcsine or nan values
+    with pytest.raises(DomainError):
+        call(alpha)
+
+
 def test_ullman_alt_agrees_with_primary():
     assert oz.ullman_density_alt(2.0, 0.5) == pytest.approx(
         2.0 / math.pi * math.sqrt(0.75), abs=1e-9)
