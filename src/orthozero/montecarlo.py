@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSampleError, DomainError
-from .orthopoly import RecurrenceTable, _SCALE, _sweep, poly_matrix
+from .orthopoly import RecurrenceTable, _sweep, poly_matrix
 from .scaling import (
     ScalingInfo,
     equilibrium_density_many,
@@ -176,17 +176,13 @@ def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
     combination) point by point without storing the polynomial matrix.
     Returns mantissas and their per-point exponents, as poly_matrix does:
     the true combination is S[i] * 2^expo[i]."""
-    S = np.zeros(x.size)
-    Sd = np.zeros(x.size) if derivs else None
-    for k, (p, d, big, expo) in enumerate(_sweep(table, x, n, derivs)):
-        if big is not None:
-            S[big] /= _SCALE
-            if derivs:
-                Sd[big] /= _SCALE
-        S += Ct[k] * p
-        if derivs:
-            Sd += Ct[k] * d
-    return S, Sd, expo
+    S = np.zeros((2 if derivs else 1, x.size))  # rows: values, derivatives
+    term = np.empty_like(S)
+    for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, derivs)):
+        if factor is not None:
+            S *= factor
+        S += np.multiply(pd, Ct[k], out=term)
+    return S[0], (S[1] if derivs else None), expo
 
 
 def _hermite_min(f0, f1, m0, m1):

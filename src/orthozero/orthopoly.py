@@ -19,6 +19,12 @@ precision well inside the support that degrees of a few hundred need, which
 would silently truncate the measure and corrupt the high-order
 coefficients.  Coefficients are stored in double precision, leading
 coefficients also in log form, since gamma_k itself underflows for large k.
+
+The sweep yields, per degree, p_k and p_k' as the rows of one mantissa
+array that it advances in place, with per-point power-of-two exponents; a
+rescale arrives as a dense per-point factor (1 or 2^-256) that consumers
+multiply into what they accumulated, rather than as a mask to gather and
+scatter through.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from .quadrature import gl_rule
 from .scaling import ScalingInfo, equilibrium_density_many, solve_mrs
 from .weights import WeightSpec
 
-# mantissas are renormalized once they pass 2^250; the factor 2^256 is exact
+# mantissas are renormalized once they pass 2^250; the factor 2^-256 is exact
 # in binary and keeps products like A*C - B^2 inside double range
 _TRIG = 2.0**250
-_SCALE = 2.0**256
+_RESCALE = 2.0**-256
 _SCALE_LOG2 = 256
+_MAX = np.maximum.reduce  # ndarray.max without its Python wrapper
 
 TABLE_FORMAT_VERSION = 2
 
@@ -264,20 +271,25 @@ def load_table(path) -> RecurrenceTable:
 def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
            force_rescale_at: int | None = None):
     """Run the recurrence at every point of the 1-D float array x; iterate
-    k = 0..n over (p_k, p_k', rescaled, expo).
+    k = 0..n over (pd, factor, expo).
 
-    p_k and p_k' are mantissas: the true p_k(x[i]) is p_k[i] * 2^expo[i].
-    When a mantissa passes 2^250 at degree k, the point's running values
-    are scaled by 2^-256 and `rescaled` marks it (None when no point is);
-    the consumer scales what it accumulated below degree k likewise.  Low
-    degrees may underflow after a rescale, negligibly against the dominant
-    degree.  `expo` is updated in place, and the yielded arrays are working
-    buffers: copy what must outlive the step.
+    pd stacks the mantissas of p_k and, with `derivs`, of p_k' as the rows
+    of one (2, m) array, (1, m) without: the true p_k(x[i]) is
+    pd[0, i] * 2^expo[i].  When a mantissa passes 2^250 at degree k, the
+    point's running values are multiplied by 2^-256, and `factor` holds per
+    point 2^-256 where that happened and 1 elsewhere (None when no point is
+    rescaled); the consumer multiplies what it accumulated below degree k by
+    the factor, or by its square for products.  An exact power of two
+    multiplies to the same correctly rounded result as dividing by its
+    inverse, so dense factors cost no bits.  Low degrees may underflow after
+    a rescale, negligibly against the dominant degree.  `expo` is updated
+    in place, and the yielded arrays are working buffers: copy what must
+    outlive the step.
 
-    Without `derivs`, p_k' is None and only values trigger a rescale.
-    `force_rescale_at` rescales every point at that degree, a test hook:
-    derived ratios stay invariant bit for bit.  The degree is checked
-    before iteration starts, so callers may size their output by n.
+    Without `derivs` only values trigger a rescale.  `force_rescale_at`
+    rescales every point at that degree, a test hook: derived ratios stay
+    invariant bit for bit.  The degree is checked before iteration starts,
+    so callers may size their output by n.
     """
     if not 0 <= n <= table.n_max:
         raise DomainError(
@@ -286,34 +298,31 @@ def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
 
     def steps():
         expo = np.zeros(x.size, dtype=np.int64)
-        p_prev = np.zeros(x.size)
-        p_cur = np.full(x.size, table.gamma0)
-        d_prev = np.zeros(x.size) if derivs else None
-        d_cur = np.zeros(x.size) if derivs else None
-        d_next = None
-        yield p_cur, d_cur, None, expo
+        prev, cur, nxt, tmp = (np.zeros((2 if derivs else 1, x.size))
+                               for _ in range(4))
+        cur[0] = table.gamma0
+        yield cur, None, expo
         for k in range(1, n + 1):
-            bk = off[k - 1]
-            bkm = off[k - 2] if k >= 2 else 0.0
-            p_next = (x * p_cur - bkm * p_prev) / bk
-            big = np.abs(p_next) > _TRIG
+            # (x pd + (0, p_k) - b_{k-1} pd_prev) / b_k, one ufunc per term
+            np.multiply(cur, x, out=nxt)
             if derivs:
-                d_next = (x * d_cur + p_cur - bkm * d_prev) / bk
-                big |= np.abs(d_next) > _TRIG
-            if k == force_rescale_at:
-                big[:] = True
-            if big.any():
-                p_next[big] /= _SCALE
-                p_cur[big] /= _SCALE
-                if derivs:
-                    d_next[big] /= _SCALE
-                    d_cur[big] /= _SCALE
-                expo[big] += _SCALE_LOG2
-            else:
-                big = None
-            yield p_next, d_next, big, expo
-            p_prev, p_cur = p_cur, p_next
-            d_prev, d_cur = d_cur, d_next
+                nxt[1] += cur[0]
+            nxt -= np.multiply(prev, off[k - 2] if k >= 2 else 0.0, out=tmp)
+            nxt /= off[k - 1]
+            factor = None
+            # a NaN maximum (non-finite x) falls through to the per-point test
+            if (not _MAX(np.abs(nxt, out=tmp), axis=None, initial=0.0) <= _TRIG
+                    or k == force_rescale_at):
+                big = (tmp > _TRIG).any(axis=0)
+                if k == force_rescale_at:
+                    big[:] = True
+                if big.any():
+                    factor = np.where(big, _RESCALE, 1.0)
+                    nxt *= factor
+                    cur *= factor
+                    np.add(expo, _SCALE_LOG2, out=expo, where=big)
+            yield nxt, factor, expo
+            prev, cur, nxt = cur, nxt, prev
 
     return steps()
 
@@ -328,19 +337,16 @@ def kernel_triple_many(table: RecurrenceTable, x, n: int,
     `force_rescale_at` is passed to the sweep (a test hook).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    A = np.zeros(x.size)
-    B = np.zeros(x.size)
-    C = np.zeros(x.size)
-    for p, d, big, expo in _sweep(table, x, n, derivs=True,
-                                  force_rescale_at=force_rescale_at):
-        if big is not None:
-            A[big] /= _SCALE**2
-            B[big] /= _SCALE**2
-            C[big] /= _SCALE**2
-        A += p * p
-        B += p * d
-        C += d * d
-    return A, B, C, 2 * expo
+    acc = np.zeros((3, x.size))  # rows A, C, B
+    sq = np.empty((2, x.size))
+    AC, B = acc[:2], acc[2]
+    for pd, factor, expo in _sweep(table, x, n, derivs=True,
+                                   force_rescale_at=force_rescale_at):
+        if factor is not None:
+            acc *= factor * factor
+        AC += np.multiply(pd, pd, out=sq)
+        B += np.multiply(pd[0], pd[1], out=sq[0])
+    return acc[0], B, acc[1], 2 * expo
 
 
 def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
@@ -350,18 +356,14 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
     the true polynomial's; the exponents compare magnitudes across points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    sweep = _sweep(table, x, n, derivs)
-    P = np.empty((n + 1, x.size))
-    D = np.empty((n + 1, x.size)) if derivs else None
-    for k, (p, d, big, expo) in enumerate(sweep):
-        if big is not None:
-            P[:k, big] /= _SCALE
-            if derivs:
-                D[:k, big] /= _SCALE
-        P[k] = p
-        if derivs:
-            D[k] = d
-    return P, D, expo
+    PD = np.empty((2 if derivs else 1, n + 1, x.size))
+    for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, derivs)):
+        if factor is not None:
+            # k stored rows: scale only the columns hit, not all of them
+            hit = np.flatnonzero(factor != 1.0)
+            PD[:, :k, hit] *= _RESCALE
+        PD[:, k] = pd
+    return PD[0], (PD[1] if derivs else None), expo
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,

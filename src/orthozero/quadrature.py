@@ -38,22 +38,24 @@ def gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def cheb_t_integral(f, tol: float, m0: int = 32, m_cap: int = 1 << 21):
+def cheb_t_integral(node_sum, tol: float, m0: int = 32, m_cap: int = 1 << 21):
     """Integrate f(x)/sqrt(1-x^2) over (-1, 1) by node doubling.
 
-    `f` must accept a 1-D ndarray of nodes and may return an array whose
-    last axis runs over them: each leading entry is integrated separately.
-    Doubling stops once two successive rule evaluations differ by less than
-    tol/4 in every entry, following the convention that the returned error
-    estimate is the last (largest) inter-rule difference.
+    `node_sum` must accept a 1-D ndarray of nodes and return the sum of f
+    over them: a scalar, or an array with one entry per integrand, each
+    integrated separately.  Summing is the caller's, so it may evaluate
+    many integrands in blocks.  Doubling stops once two successive rule
+    evaluations differ by less than tol/4 in every entry, following the
+    convention that the returned error estimate is the last (largest)
+    inter-rule difference.
 
     Returns (value, err_estimate, m_used).
     """
     m = m0
-    val = (np.pi / m) * np.sum(f(cheb_t_nodes(m)), axis=-1)
+    val = (np.pi / m) * node_sum(cheb_t_nodes(m))
     while m < m_cap:
         m *= 2
-        new = (np.pi / m) * np.sum(f(cheb_t_nodes(m)), axis=-1)
+        new = (np.pi / m) * node_sum(cheb_t_nodes(m))
         diff = np.max(np.abs(new - val))
         val = new
         if diff < tol / 4.0:
@@ -68,7 +70,8 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
     """Adaptive bisection with a fixed-order Gauss rule per panel.
 
     `f` is evaluated in batches (one call per refinement wave, all pending
-    panel nodes concatenated).  A panel is accepted when the two-half
+    panel nodes concatenated; the first call also holds the initial
+    panels, ahead of their halves).  A panel is accepted when the two-half
     estimate agrees with the parent estimate to its share of `tol`.
 
     Returns (value, err_estimate, x_samples, f_samples).
@@ -92,20 +95,24 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
         p for p in presplit if lo < p < hi)})
     los = np.array(edges[:-1])
     his = np.array(edges[1:])
-    work = list(zip(los, his, panel_values(los, his)))
+    parents = None
     total = 0.0
     err = 0.0
-    n_panels = len(work)
+    n_panels = los.size
     span = hi - lo
-    while work:
-        los, his, parents = (np.array(col) for col in zip(*work))
+    while True:
         mids = 0.5 * (los + his)
         # both halves of every pending panel in one batch: one f call per wave
-        left, right = np.split(panel_values(np.concatenate([los, mids]),
-                                            np.concatenate([mids, his])), 2)
+        a, b = np.concatenate([los, mids]), np.concatenate([mids, his])
+        if parents is None:
+            a, b = np.concatenate([los, a]), np.concatenate([his, b])
+        vals = panel_values(a, b)
+        if parents is None:
+            parents, vals = vals[:los.size], vals[los.size:]
+        left, right = np.split(vals, 2)
         errs = np.abs(left + right - parents)
         next_work = []
-        for i in range(len(work)):
+        for i in range(los.size):
             if errs[i] <= tol * (his[i] - los[i]) / span or (his[i] - los[i]) < 1e-14 * span:
                 total += left[i] + right[i]
                 err += errs[i]
@@ -119,7 +126,9 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
             raise BudgetError(
                 f"adaptive quadrature exceeded {max_panels} panels "
                 f"(partial value {total:.6g})", partial=total, panels=n_panels)
-        work = next_work
+        if not next_work:
+            break
+        los, his, parents = (np.array(col) for col in zip(*next_work))
 
     x = np.concatenate(xs_all)
     y = np.concatenate(fs_all)

@@ -37,6 +37,8 @@ from .weights import WeightSpec
 # relative node separation below which the divided difference of Q' is
 # replaced by the midpoint second derivative (removable singularity)
 _DD_GUARD = 1e-6
+# bytes that one row block of the divided-difference integrand may take
+_DD_BYTES = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _mrs_integral(spec: WeightSpec, a: float, tol: float) -> float:
         t = np.abs(t)
         return a * t * np.asarray(spec.q1(a * t), dtype=float)
 
-    val, _, _ = cheb_t_integral(h, tol * math.pi, m0=64)
+    val, _, _ = cheb_t_integral(lambda t: np.sum(h(t)), tol * math.pi, m0=64)
     return val / math.pi
 
 
@@ -167,9 +169,16 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
     a = info.a_n
     if np.any(np.abs(x) >= a):
         raise DomainError("equilibrium density needs |x| < a_n")
-    I, _, _ = cheb_t_integral(
-        lambda u: _divided_difference(spec, a * u[None, :], x[:, None], a),
-        tol, m0=256, m_cap=1 << 19)
+
+    def row_sums(u):
+        # rows in blocks: about eight float64 (rows, nodes) temporaries of
+        # the integrand are alive at once
+        rows = max(1, _DD_BYTES // (8 * 8 * u.size))
+        return np.concatenate([np.sum(_divided_difference(
+            spec, a * u[None, :], x[r:r + rows, None], a), axis=-1)
+            for r in range(0, x.size, rows)])
+
+    I, _, _ = cheb_t_integral(row_sums, tol, m0=256, m_cap=1 << 19)
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
 
 
@@ -346,7 +355,8 @@ def ullman_density_alt(alpha: float, x: float, tol: float = 1e-8) -> float:
         return out
 
     pref = 2.0 * math.sqrt(1.0 - y * y) / (math.pi**2 * b_al)
-    val, _, _ = cheb_t_integral(g, tol / pref, m0=64, m_cap=1 << 22)
+    val, _, _ = cheb_t_integral(lambda t: np.sum(g(t)), tol / pref, m0=64,
+                                m_cap=1 << 22)
     return pref * 0.5 * val
 
 

@@ -18,6 +18,11 @@ once, when ln gamma_k (k >= 1) came to be rounded once from extended
 precision and the Gram audit was split by parity on the half mesh: only
 the gamma_k column (13 of 61 rows, last digits) and the
 `ortho_residual` line moved.  Every other digest predates these changes.
+
+The `kac --n 1000` and `--n 500` full-line digests run at the benchmark's
+scale, on the n_max 1001 and 501 tables; they were captured before the
+recurrence sweep moved to stacked state and dense rescale factors, which
+left every printed digit as it was.
 """
 
 import hashlib
@@ -43,6 +48,10 @@ GOLDEN = {
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--interval", "-0.5",
      "0.5", "--scaled"):
         "211783505c96fa2e1f0b304f8bdce4a50dfef9b1babf9fb5f199186ee9e6f963",
+    ("kac", "--weight", "freud:0.5:2", "--n", "1000", "--full-line"):
+        "01a395af00c5352af7ac95c5b205097a794489ed2dd18274ebe49e1357648748",
+    ("kac", "--weight", "freud:1:4", "--n", "500", "--full-line"):
+        "3a9f48ba85a56e95c6137ba6c7734cd4a15c1dec03b1b5786332f5451bdc86ec",
     ("kac", "--n", "300", "--basis", "monomial", "--full-line"):
         "31fbc87f01ff3a29db2d14e5d9e6bf91eaa581703172afef12a2c96f50369503",
     ("simulate", "--weight", "freud:0.5:2", "--n", "50", "--trials", "20"):

@@ -20,11 +20,14 @@ def test_adaptive_gl_budget_error_carries_partials():
     assert str(err) == ("adaptive quadrature exceeded 10 panels "
                         f"(partial value {err.partial:.6g})")
     assert BudgetError("no partials").partial is None
+    with pytest.raises(BudgetError) as ref:
+        _halves_separately(f, -1.0, 1.0, 1e-12, 15, [0.0], max_panels=10)
+    assert (err.partial, err.panels) == (ref.value.partial, ref.value.panels)
 
 
-def _halves_separately(f, lo, hi, tol, order, presplit):
-    """The panel bisection of `adaptive_gl` with the left and right halves
-    of each wave evaluated in two separate calls."""
+def _halves_separately(f, lo, hi, tol, order, presplit, max_panels=20000):
+    """The panel bisection of `adaptive_gl` with the initial panels and the
+    left and right halves of each wave evaluated in separate calls."""
     xg, wg = gl_rule(order)
     xs, ys = [], []
 
@@ -40,6 +43,7 @@ def _halves_separately(f, lo, hi, tol, order, presplit):
     los, his = np.array(edges[:-1]), np.array(edges[1:])
     work = list(zip(los, his, panel_values(los, his)))
     total = err = 0.0
+    n_panels = len(work)
     while work:
         los, his, parents = (np.array(col) for col in zip(*work))
         mids = 0.5 * (los + his)
@@ -52,6 +56,10 @@ def _halves_separately(f, lo, hi, tol, order, presplit):
                 err += errs[i]
             else:
                 work += [(los[i], mids[i], left[i]), (mids[i], his[i], right[i])]
+        n_panels += len(work)
+        if n_panels > max_panels:
+            raise BudgetError("", partial=total + sum(w[2] for w in work),
+                              panels=n_panels)
     x, y = np.concatenate(xs), np.concatenate(ys)
     idx = np.argsort(x, kind="stable")
     return total, err, x[idx], y[idx], len(xs)
@@ -75,16 +83,18 @@ def test_adaptive_gl_one_call_per_refinement_wave():
         f, -4.0, 4.0, 1e-11, order, presplit)
     waves = (ref_calls - 1) // 2
     assert waves >= 3
-    # one initial call, then one call per wave instead of two
-    assert len(batches) - ref_calls == 1 + waves
-    ours, ref = batches[:1 + waves], batches[1 + waves:]
-    assert ours[0].size == order * 4
-    assert ours[1].size == 2 * order * 4
-    for k in range(1, 1 + waves):
+    # one call per wave instead of two, the initial panels riding in the
+    # first wave's call ahead of their halves
+    assert len(batches) - ref_calls == waves
+    ours, ref = batches[:waves], batches[waves:]
+    assert ours[0].size == order * 4 + 2 * order * 4
+    assert np.array_equal(ours[0], np.concatenate(ref[:3]))
+    for k in range(2, 1 + waves):
         # the reference's left batch holds `order` nodes per pending panel
         pending = ref[2 * k - 1].size // order
-        assert ours[k].size == 2 * order * pending
-        assert np.array_equal(ours[k], np.concatenate(ref[2 * k - 1:2 * k + 1]))
+        assert ours[k - 1].size == 2 * order * pending
+        assert np.array_equal(ours[k - 1],
+                              np.concatenate(ref[2 * k - 1:2 * k + 1]))
     # the same nodes in the same order: identical to the last bit
     assert val == pytest.approx(quad(g, -4.0, 4.0, limit=200)[0], abs=1e-10)
     assert (val, err) == (ref_val, ref_err)

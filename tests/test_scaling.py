@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,37 @@ def test_equilibrium_density_symmetry(freud14):
     for x in (0.3, 1.1, 1.8):
         assert oz.equilibrium_density_many(freud14, info, [x])[0] == pytest.approx(
             oz.equilibrium_density_many(freud14, info, [-x])[0], rel=1e-12)
+
+
+def test_equilibrium_density_memory_bounded():
+    # Q'' = |x|^-1/2 near 0 drives the Chebyshev rule of the points near 0
+    # to 16384 nodes; evaluated whole, the (299, 16384) integrand and its
+    # temporaries took about 240 MB
+    spec = oz.parse_weight("freud:1:1.5")
+    info = oz.solve_mrs(spec, 90)
+    x = info.a_n * np.linspace(-1.0, 1.0, 301)[1:-1]
+    assert np.min(np.abs(x)) == 0.0
+    tracemalloc.start()
+    try:
+        vals = oz.equilibrium_density_many(spec, info, x, tol=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(vals > 0)
+    assert peak < oz.scaling._DD_BYTES
+
+
+@pytest.mark.parametrize("key,n", [("freud:0.5:2", 200), ("freud:1:4", 500)])
+def test_equilibrium_density_independent_of_blocks(key, n, monkeypatch):
+    # every row shares one stopping rule, so the row blocks never show
+    spec = oz.parse_weight(key)
+    info = oz.solve_mrs(spec, n)
+    x = info.a_n * np.linspace(-1.0, 1.0, 401)[1:-1]
+    whole = oz.equilibrium_density_many(spec, info, x, tol=1e-6 * n)
+    for budget in (1, 3 * 64 * 4096):  # one row a block; a few rows
+        monkeypatch.setattr(oz.scaling, "_DD_BYTES", budget)
+        blocked = oz.equilibrium_density_many(spec, info, x, tol=1e-6 * n)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def test_equilibrium_density_domain(freud14):
