@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kac, montecarlo, orthopoly, scaling, weights
+from .errors import DomainError
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -245,6 +246,10 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
 
 
 def run_all(only: set[int] | None = None) -> list[CriterionResult]:
+    unknown = sorted(set(only or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        raise DomainError(f"unknown criterion number(s) {unknown}; the "
+                          f"criteria are 1..{len(ALL_CRITERIA)}")
     out = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if only is not None and i not in only:

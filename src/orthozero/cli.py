@@ -103,6 +103,8 @@ def cmd_kac(ns) -> int:
         raise DomainError("--scaled applies to the orthonormal basis")
     if ns.scaled and ns.full_line:
         raise DomainError("--scaled needs --interval inside (-1, 1)")
+    if not ns.tol > 0:  # before the table build; the integrators refuse it too
+        raise DomainError(f"--tol must be > 0, got {ns.tol}")
     if ns.basis == "monomial":
         prof = kac.expected_zeros_monomial(
             ns.n, None if ns.full_line else tuple(ns.interval), tol=ns.tol)

@@ -20,6 +20,16 @@ would silently truncate the measure and corrupt the high-order
 coefficients.  Coefficients are stored in double precision, leading
 coefficients also in log form, since gamma_k itself underflows for large k.
 
+The mesh reaches R = pad * a_{2 n_max}, but the weighted polynomials of
+degree <= n_max decay past the n^(-2/3) edge layer beyond a_{n_max}, so the
+Lanczos vectors run only on an active window that ends near
+a_{n_max} (1 + 2 (12/n_max)^(2/3)).  The window's last node certifies at
+every step that the dropped nodes could not change one bit of b_k: p_k is
+positive there (no zero beyond it), |p_k| e^-Q does not increase past it,
+and its weighted term is too small to move the sequential longdouble dot
+(see _stieltjes).  A pass whose certificate fails is rerun on the whole
+mesh, so the table is bit for bit the full-mesh table either way.
+
 The sweep yields, per degree, p_k and p_k' as the rows of one mantissa
 array that it advances in place, with per-point power-of-two exponents; a
 rescale arrives as a dense per-point factor (1 or 2^-256) that consumers
@@ -127,25 +137,86 @@ def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
             (half[:, None] * wg[None, :]).ravel())
 
 
-def _stieltjes(nodes, w2w, n_max: int):
+def _window_edge(spec: WeightSpec, n_max: int) -> float:
+    """Where the Stieltjes window ends: a_{n_max} (1 + 2 (12/n_max)^(2/3)),
+    past the n^(-2/3) edge layer beyond which the weighted polynomials of
+    degree <= n_max decay; clipped to R by the mesh itself."""
+    return solve_mrs(spec, n_max, tol=1e-8).a_n * (
+        1 + 2 * (12 / n_max) ** (2 / 3))
+
+
+def _window(spec: WeightSpec, nodes, wts, edge: float):
+    """The active window nodes[:keep] of an ascending half mesh, ending at
+    x_e, the last node <= edge, with the constants of its certificate (see
+    _stieltjes): (keep, slope, spread), where slope is Q'(x_e) less a
+    relative margin of 1e-9 and spread = max over dropped nodes of
+    wts_i / wts_e.  keep is nodes.size, with nothing to certify, when no
+    node lies beyond edge (or none before it) or Q' decreases somewhere
+    on the dropped nodes (x_e included)."""
+    keep = int(np.searchsorted(nodes, edge, side="right"))
+    if not 0 < keep < nodes.size:
+        return nodes.size, 0.0, 0.0
+    q1 = np.asarray(spec.q1(nodes[keep - 1:].astype(float)), dtype=float)
+    if not np.all(np.diff(q1) >= 0):  # a NaN fails too
+        return nodes.size, 0.0, 0.0
+    return (keep, np.longdouble(q1[0]) * (1 - 1e-9),
+            np.max(wts[keep:]) / wts[keep - 1])
+
+
+def _stieltjes(nodes, w2w, n_max: int, keep: int, slope=0.0, spread=0.0):
     """Lanczos form of the Stieltjes procedure for the even measure with
     mass w2w at each of +nodes and -nodes; returns (b_1..b_n_max, gamma_0)
-    in the dtype of the inputs.  The k-th Lanczos vector has parity (-1)^k:
-    its diagonal term is exactly zero and its full-mesh dots are twice the
-    half-mesh ones, so with g_0 normalised on the half mesh the iteration
+    in the dtype of the inputs, or None when the window's certificate
+    fails.  The k-th Lanczos vector has parity (-1)^k: its diagonal term is
+    exactly zero and its full-mesh dots are twice the half-mesh ones, so
+    with g_0 normalised on the half mesh the iteration
     v = x g_k - b_k g_{k-1}, b_{k+1} = |v|, g_{k+1} = v / b_{k+1} runs on
-    the positive nodes alone."""
+    the positive nodes alone.
+
+    The vectors run on the leading nodes[:keep] only (the mass half_mass
+    is summed over all of them).  That changes no bit of any b_k as long
+    as each dot product's dropped terms, which numpy's sequential
+    longdouble dot adds after the window's, stay below a quarter ulp of
+    the running sum.  With keep < nodes.size the last kept node x_e
+    certifies this at every step k, from v_e (proportional to p_k(x_e))
+    and a scalar recurrence for p_k'(x_e) on the same scale:
+
+    (i)   p_k(x_e) > 0, as for every lower degree: the Sturm sequence
+          p_0..p_k has no sign change at x_e, so p_k has no zero beyond it
+          and p_k'/p_k decreases there;
+    (ii)  p_k'(x_e) <= slope p_k(x_e), slope just under Q'(x_e): with Q'
+          non-decreasing on the dropped nodes (checked by _window),
+          |p_k| e^-Q does not increase beyond x_e, so a dropped node's
+          v_i^2 is at most v_e^2 wts_i / wts_e;
+    (iii) v_e^2 spread < (eps/64) (v . v over the window): each dropped
+          term, rounding included, is then below a quarter ulp.
+    """
     half_mass = np.sum(w2w)
-    g = np.sqrt(w2w / half_mass)
-    g_prev = np.zeros_like(g)
+    x = nodes[:keep]
+    g = np.sqrt(w2w[:keep] / half_mass)
+    g_prev, v, tmp = (np.zeros_like(g) for _ in range(3))
     b = np.zeros(n_max + 1, dtype=nodes.dtype)
+    certify = keep < nodes.size
+    tiny = np.finfo(nodes.dtype).eps / 64
+    # p_k'(x_e) and p_{k-1}'(x_e), in the scale where g_k(x_e) is p_k(x_e)
+    d = d_prev = np.zeros((), dtype=nodes.dtype)
     for k in range(1, n_max + 1):
-        v = nodes * g - b[k - 1] * g_prev
-        bk = np.sqrt(np.dot(v, v))  # same bits as v @ v, ~2.5x faster
+        np.multiply(x, g, out=v)
+        v -= np.multiply(g_prev, b[k - 1], out=tmp)
+        vv = np.dot(v, v)  # same bits as v @ v, ~2.5x faster
+        bk = np.sqrt(vv)
+        if certify:  # ahead of the breakdown test: a window may miss mass
+            ve = v[-1]
+            dv = g[-1] + x[-1] * d - b[k - 1] * d_prev  # b_k p_k'(x_e)
+            if not (ve > 0 and dv <= slope * ve
+                    and ve * ve * spread < tiny * vv):
+                return None
+            d_prev, d = d, dv / bk
         if not bk > 0:
             raise DiscretizationError(f"Stieltjes breakdown at step {k}")
         b[k] = bk
-        g_prev, g = g, v / bk
+        v /= bk
+        g_prev, g, v = g, v, g_prev
     return b[1:], 1.0 / np.sqrt(2 * half_mass)
 
 
@@ -175,25 +246,31 @@ def build_recurrence(spec: WeightSpec, n_max: int,
     carry only exponentially small mass outside) and discretized on
     composite Gauss-Legendre panels.  The node count doubles until the
     coefficient table stabilizes; the result must pass the independent-mesh
-    Gram audit at 1e-8.
+    Gram audit at 1e-8.  Each pass runs on the certified active window
+    ending at _window_edge, or on the whole mesh where its certificate
+    fails; the audit always uses its whole mesh.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if pad < 1.1:
-        raise DomainError(f"pad must be >= 1.1, got {pad}")
+    if not 1.1 <= pad < math.inf:
+        raise DomainError(f"pad must be finite and >= 1.1, got {pad}")
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         raise DiscretizationError(
             "numpy longdouble is no wider than float64 on this platform: the "
             "Stieltjes weights exp(-2Q) would underflow once Q > ~354 and "
             "silently truncate the measure")
     R = _support_radius(spec, n_max, pad)
+    edge = _window_edge(spec, n_max)
     n_target = max(1200, 16 * n_max)
     prev = None
     while n_target <= _MAX_NODES:
         nodes, wts = _mesh(R, n_target, order=24, grade_ratio=0.5,
                            grade_levels=30)
         w2w = np.exp(np.longdouble(-2) * spec.q(nodes)) * wts
-        off_ld, gamma0_ld = _stieltjes(nodes, w2w, n_max)
+        out = _stieltjes(nodes, w2w, n_max, *_window(spec, nodes, wts, edge))
+        if out is None:  # uncertified: the dropped nodes may count
+            out = _stieltjes(nodes, w2w, n_max, nodes.size)
+        off_ld, gamma0_ld = out
         if prev is not None and np.max(
                 np.abs(off_ld / prev - 1)).astype(float) < 1e-13:
             break

@@ -51,6 +51,8 @@ def cheb_t_integral(node_sum, tol: float, m0: int = 32, m_cap: int = 1 << 21):
 
     Returns (value, err_estimate, m_used).
     """
+    if not tol > 0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
     m = m0
     val = (np.pi / m) * node_sum(cheb_t_nodes(m))
     while m < m_cap:
@@ -76,6 +78,8 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
 
     Returns (value, err_estimate, x_samples, f_samples).
     """
+    if not tol > 0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
     if not hi > lo:
         raise DomainError(f"empty interval ({lo}, {hi})")
     xg, wg = gl_rule(order)

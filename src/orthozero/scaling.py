@@ -102,6 +102,8 @@ def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
             f"{spec.label}: the radius equation is implemented for even Q only")
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
 
     itol = min(tol, 1e-10) * max(1.0, n)
 

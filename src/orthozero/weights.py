@@ -9,6 +9,7 @@ grid; the report keeps every witness so failures are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -59,11 +60,11 @@ def make_freud(c: float, lam: float) -> WeightSpec:
     Q = c|x|^lam, Q' = c lam |x|^(lam-1) sgn(x), Q'' = c lam (lam-1) |x|^(lam-2),
     T identically lam.
     """
-    if not c > 0:
-        raise DomainError(f"Freud scale must be positive, got {c}")
-    if not lam > 1:
-        raise DomainError(f"Freud exponent must exceed 1, got {lam} "
-                          "(the class requires T >= Lambda > 1)")
+    if not 0 < c < math.inf:
+        raise DomainError(f"Freud scale must be positive and finite, got {c}")
+    if not 1 < lam < math.inf:
+        raise DomainError(f"Freud exponent must be finite and exceed 1, got "
+                          f"{lam} (the class requires T >= Lambda > 1)")
 
     def q(x, _c=float(c), _l=float(lam)):
         return _c * np.abs(x) ** _l

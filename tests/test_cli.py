@@ -111,6 +111,25 @@ def test_simulate_rejects_negative_imag_tol(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["recurrence", "--n-max", "3", "--pad", "nan"],
+    ["recurrence", "--n-max", "3", "--pad", "inf"],
+    ["kac", "--weight", "freud:inf:2", "--n", "5", "--full-line"],
+    ["kac", "--weight", "freud:1:inf", "--n", "5", "--full-line"],
+    *(["kac", "--n", "5", "--full-line", f"--tol={t}"]
+      for t in ("0", "-1", "nan")),
+    *(["mrs", "--n", "5", f"--tol={t}"] for t in ("0", "-1", "nan"))])
+def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
+    from orthozero import kac, orthopoly, scaling
+
+    # a table build starts with the radius solve, so it integrates too
+    for module, name in ((orthopoly, "_mesh"), (kac, "adaptive_gl"),
+                         (scaling, "cheb_t_integral")):
+        monkeypatch.setattr(module, name, _must_not_run)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_over_grid_budget_exits_1(monkeypatch, capsys):
     from orthozero import montecarlo
 
@@ -207,6 +226,15 @@ def test_config_file_defaults(tmp_path):
     # flag spellings map to parameter names
     cfg.write_text("n-max = 6\n")
     assert read_config(cfg) == {"n_max": "6"}
+
+
+def test_verify_rejects_unknown_criterion(monkeypatch, capsys):
+    from orthozero import acceptance
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (_must_not_run,) * 10)
+    assert run(["verify", "--only", "7,99"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "[99]" in err
 
 
 def test_verify_subset():

@@ -366,11 +366,119 @@ def test_truncated_table_file_rejected(tmp_path, hermite_table_60):
             oz.load_table(path)
 
 
+_STIELTJES = orthopoly._stieltjes
+
+
+def _spy_stieltjes(monkeypatch):
+    """Record (nodes, w2w, n_max, keep, result) of every Stieltjes pass."""
+    calls = []
+
+    def spy(nodes, w2w, n_max, keep, *cert):
+        out = _STIELTJES(nodes, w2w, n_max, keep, *cert)
+        calls.append((nodes, w2w, n_max, keep, out))
+        return out
+
+    monkeypatch.setattr(orthopoly, "_stieltjes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("key, sizes", [
+    ("freud:0.5:2", (60, 502)), ("freud:1:4", (101, 502)),
+    ("freud:1:2", (60, 251)), ("freud:1:1.5", (101, 251)),
+    ("freud:1:3", (60, 251))])
+def test_stieltjes_window_is_bit_identical(key, sizes, monkeypatch):
+    # every pass of these builds, on both meshes of the doubling, drops
+    # nodes, is certified, and gives the b_k and gamma_0 of the same pass
+    # over the whole mesh
+    calls = _spy_stieltjes(monkeypatch)
+    spec = oz.parse_weight(key)
+    for n_max in sizes:
+        oz.build_recurrence(spec, n_max)
+    assert len(calls) == 2 * len(sizes)
+    for nodes, w2w, n_max, keep, out in calls:
+        assert keep < nodes.size and out is not None
+        off, gamma0 = _STIELTJES(nodes, w2w, n_max, nodes.size)
+        assert np.array_equal(out[0], off) and out[1] == gamma0
+
+
+@pytest.mark.parametrize("end", [0.8, 1.0])
+def test_short_window_falls_back_to_full_mesh(end, hermite, monkeypatch):
+    # a window ending inside the support (0.8 a_n), where p_n has zeros past
+    # it, or at a_n, inside the edge layer, cuts off terms that count: the
+    # certificate must fail on each mesh, and the table is the one built
+    # without a window
+    n_max = 101
+    a_n = oz.solve_mrs(hermite, n_max, tol=1e-8).a_n
+    monkeypatch.setattr(orthopoly, "_window_edge", lambda spec, n: math.inf)
+    full = oz.build_recurrence(hermite, n_max)
+    monkeypatch.setattr(orthopoly, "_window_edge",
+                        lambda spec, n: end * a_n)
+    calls = _spy_stieltjes(monkeypatch)
+    tab = oz.build_recurrence(hermite, n_max)
+    assert [(keep < nodes.size, out is None)
+            for nodes, _, _, keep, out in calls] == [(True, True),
+                                                     (False, False)] * 2
+    assert np.array_equal(tab.off_diag, full.off_diag)
+    assert np.array_equal(tab.log_leading, full.log_leading)
+    assert tab.ortho_residual == full.ortho_residual
+
+
+def test_certificate_needs_a_weighted_sentinel_and_decay(hermite):
+    # conditions (i) and (ii) on their own: a last kept node without mass
+    # says nothing about the nodes past it, and with Q'(x_e) taken as 0
+    # nothing bounds the growth of |p_k| e^-Q beyond it
+    n_max = 101
+    nodes, wts = orthopoly._mesh(orthopoly._support_radius(hermite, n_max,
+                                                           1.5),
+                                 1616, order=24, grade_ratio=0.5,
+                                 grade_levels=30)
+    w2w = np.exp(np.longdouble(-2) * hermite.q(nodes)) * wts
+    keep, slope, spread = orthopoly._window(
+        hermite, nodes, wts, orthopoly._window_edge(hermite, n_max))
+    assert keep < nodes.size
+    assert orthopoly._stieltjes(nodes, w2w, n_max, keep, slope,
+                                spread) is not None
+    assert orthopoly._stieltjes(nodes, w2w, n_max, keep, 0.0, spread) is None
+    massless = w2w.copy()
+    massless[keep - 1] = 0
+    assert orthopoly._stieltjes(nodes, massless, n_max, keep, slope,
+                                spread) is None
+
+
+def test_q1_decreasing_beyond_window_takes_full_mesh(hermite, monkeypatch):
+    # Q = x^2/2 with a dent in Q' on 25 < |x| < 26, past the window's end
+    # (about 21 at n_max 100) and inside R = 30: the bound on the dropped
+    # nodes no longer holds, so none may be dropped
+    def dent(t):
+        return np.clip(t - 25, 0, 1)
+
+    spec = oz.make_custom(
+        q=lambda x: x**2 / 2 - dent(np.abs(x))**2
+        - 2 * np.maximum(np.abs(x) - 26, 0),
+        q1=lambda x: x - 2 * np.sign(x) * dent(np.abs(x)),
+        q2=lambda x: 1 - 2.0 * ((np.abs(x) > 25) & (np.abs(x) < 26)),
+        even=True, alpha=2.0, label="dented")
+    calls = _spy_stieltjes(monkeypatch)
+    tab = oz.build_recurrence(spec, 100)
+    assert calls and all(keep == nodes.size and out is not None
+                         for nodes, _, _, keep, out in calls)
+    assert tab.ortho_residual <= 1e-8
+    # on the build's first mesh the undented weight drops nodes
+    nodes, wts = orthopoly._mesh(orthopoly._support_radius(spec, 100, 1.5),
+                                 1600, order=24, grade_ratio=0.5,
+                                 grade_levels=30)
+    assert np.array_equal(nodes, calls[0][0])
+    edge = orthopoly._window_edge(spec, 100)
+    assert orthopoly._window(hermite, nodes, wts, edge)[0] < nodes.size
+    assert orthopoly._window(spec, nodes, wts, edge)[0] == nodes.size
+
+
 def test_build_rejects_bad_arguments(hermite):
     with pytest.raises(DomainError):
         oz.build_recurrence(hermite, 0)
-    with pytest.raises(DomainError):
-        oz.build_recurrence(hermite, 10, pad=1.0)
+    for pad in (1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            oz.build_recurrence(hermite, 10, pad=pad)
 
 
 def test_build_rejects_float64_longdouble(hermite, monkeypatch):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from orthozero.errors import BudgetError
-from orthozero.quadrature import adaptive_gl, gl_rule
+from orthozero.errors import BudgetError, DomainError
+from orthozero.quadrature import adaptive_gl, cheb_t_integral, gl_rule
 
 
 def test_adaptive_gl_budget_error_carries_partials():
@@ -100,3 +100,14 @@ def test_adaptive_gl_one_call_per_refinement_wave():
     assert (val, err) == (ref_val, ref_err)
     assert np.array_equal(xs, ref_xs)
     assert np.array_equal(ys, ref_ys)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_integrators_reject_tolerance_not_above_zero(tol):
+    def never(x):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(DomainError, match="tolerance"):
+        adaptive_gl(never, 0.0, 1.0, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        cheb_t_integral(never, tol=tol)

@@ -39,6 +39,9 @@ def test_freud_rejects_bad_parameters():
         oz.make_freud(1, 0.5)
     with pytest.raises(DomainError):
         oz.make_freud(0, 2)
+    for c, lam in ((np.inf, 2), (1, np.inf), (np.nan, 2), (1, np.nan)):
+        with pytest.raises(DomainError):
+            oz.make_freud(c, lam)
 
 
 def test_eval_T_domain_errors(mixed24):
