@@ -105,6 +105,8 @@ def cmd_kac(ns) -> int:
         raise DomainError("--scaled needs --interval inside (-1, 1)")
     if not ns.tol > 0:  # before the table build; the integrators refuse it too
         raise DomainError(f"--tol must be > 0, got {ns.tol}")
+    if not 0 < ns.pad < np.inf:
+        raise DomainError(f"--pad must be positive and finite, got {ns.pad}")
     if ns.basis == "monomial":
         prof = kac.expected_zeros_monomial(
             ns.n, None if ns.full_line else tuple(ns.interval), tol=ns.tol)
@@ -133,12 +135,15 @@ def cmd_kac(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    if ns.imag_tol is not None and not ns.imag_tol >= 0:
-        raise DomainError(f"--imag-tol must be >= 0, got {ns.imag_tol}")
+    # every input is checked before the table build
+    if ns.imag_tol is not None and not 0 <= ns.imag_tol < np.inf:
+        raise DomainError(f"--imag-tol must be in [0, inf), got {ns.imag_tol}")
+    if ns.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {ns.seed}")
     spec = weights.parse_weight(ns.weight)
     dist = montecarlo.parse_dist(ns.dist)
-    table = orthopoly.get_table(spec, ns.n)
     edges = montecarlo.partition_edges(ns.partition) if ns.partition else None
+    table = orthopoly.get_table(spec, ns.n)
     # count first: a grid over budget fails before any eigensolve
     res = montecarlo.mc_expected_zeros(spec, table, ns.n, ns.trials, dist,
                                        ns.seed)

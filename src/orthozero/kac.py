@@ -88,26 +88,32 @@ def expected_zeros(table: RecurrenceTable, n: int, interval: tuple[float, float]
     interval (lo == -hi) is integrated on [0, hi] to tol/2 and doubled, and
     its samples are mirrored.  Each refinement wave is one recurrence sweep.
     """
+    stats = _ClampStats()
+    val, err, xs, fs = _integrate(table, n, interval, tol, edge, stats)
+    return ZeroDensityProfile(
+        samples_x=xs, samples_density=fs, expected_count=val,
+        quadrature_error=err, clamped_fraction=stats.fraction(),
+        worst_clamp=stats.worst)
+
+
+def _integrate(table: RecurrenceTable, n: int, interval, tol: float,
+               edge: float | None, stats: _ClampStats):
+    """expected_zeros' (value, error, samples x, samples density), with the
+    clamps of every evaluated node recorded in `stats`."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise DomainError(f"empty interval {interval}")
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
     shoulder = [f * edge for f in (0.85, 0.95, 0.99, 1.0, 1.01, 1.05, 1.15)]
-    stats = _ClampStats()
     dens = _density_batch(table, n, stats)
     if lo == -hi:
         val, err, xs, fs = adaptive_gl(dens, 0.0, hi, tol=tol / 2, presplit=[
             *shoulder, *np.linspace(0.0, hi, 5)[1:-1]])
-        val, err = 2.0 * val, 2.0 * err
-        xs, fs = np.concatenate([-xs[::-1], xs]), np.concatenate([fs[::-1], fs])
-    else:
-        val, err, xs, fs = adaptive_gl(dens, lo, hi, tol=tol, presplit=[
-            *shoulder, *(-p for p in shoulder), *np.linspace(lo, hi, 9)[1:-1]])
-    return ZeroDensityProfile(
-        samples_x=xs, samples_density=fs, expected_count=val,
-        quadrature_error=err, clamped_fraction=stats.fraction(),
-        worst_clamp=stats.worst)
+        return (2.0 * val, 2.0 * err, np.concatenate([-xs[::-1], xs]),
+                np.concatenate([fs[::-1], fs]))
+    return adaptive_gl(dens, lo, hi, tol=tol, presplit=[
+        *shoulder, *(-p for p in shoulder), *np.linspace(lo, hi, 9)[1:-1]])
 
 
 def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
@@ -119,13 +125,13 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
     where the density is smooth and tends to a constant (it decays like
     b_n/(pi x^2), a Cauchy-type tail, so no cutoff radius can make it
     negligible by itself).  The density is even, so the two tails are one
-    tail doubled.
+    tail doubled.  Core and tail nodes share one clamp count.
     """
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
     R = pad * edge
-    core = expected_zeros(table, n, (-R, R), tol=tol * 0.5, edge=edge)
     stats = _ClampStats()
+    val, err, xs, fs = _integrate(table, n, (-R, R), tol * 0.5, edge, stats)
     dens = _density_batch(table, n, stats)
 
     def tail(u):
@@ -133,15 +139,10 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
         return 2.0 * dens(1.0 / u) / (u * u)
 
     tval, terr, _, _ = adaptive_gl(tail, 0.0, 1.0 / R, tol=tol * 0.5)
-    nodes = stats.nodes + len(core.samples_x)
-    clamped = stats.clamped + core.clamped_fraction * len(core.samples_x)
     return ZeroDensityProfile(
-        samples_x=core.samples_x, samples_density=core.samples_density,
-        expected_count=core.expected_count + tval,
-        quadrature_error=core.quadrature_error + terr,
-        clamped_fraction=clamped / nodes if nodes else 0.0,
-        worst_clamp=min(core.worst_clamp, stats.worst),
-        tail_estimate=tval)
+        samples_x=xs, samples_density=fs, expected_count=val + tval,
+        quadrature_error=err + terr, clamped_fraction=stats.fraction(),
+        worst_clamp=stats.worst, tail_estimate=tval)
 
 
 def scaled_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,

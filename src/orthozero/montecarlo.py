@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSampleError, DomainError
-from .orthopoly import RecurrenceTable, _sweep, poly_matrix
+from .orthopoly import RecurrenceTable, combo_values, poly_matrix
 from .scaling import (
     ScalingInfo,
     equilibrium_density_many,
@@ -39,14 +39,18 @@ class CoeffDist:
     def __post_init__(self):
         if self.kind not in _DISTS:
             raise DomainError(f"unknown coefficient law {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise DomainError("gaussian sigma must be positive")
+        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
+            raise DomainError(
+                f"gaussian sigma must be positive and finite, got {self.sigma}")
 
 
 def parse_dist(text: str) -> CoeffDist:
     parts = text.split(":")
-    if parts[0] == "gaussian":
-        sigma = float(parts[1]) if len(parts) > 1 else 1.0
+    if parts[0] == "gaussian" and len(parts) <= 2:
+        try:
+            sigma = float(parts[1]) if len(parts) == 2 else 1.0
+        except ValueError as exc:
+            raise DomainError(f"bad gaussian sigma in {text!r}") from exc
         return CoeffDist("gaussian", sigma)
     if len(parts) == 1 and parts[0] in _DISTS:
         return CoeffDist(parts[0])
@@ -107,8 +111,8 @@ _GRID_CACHE: dict[tuple, np.ndarray] = {}
 def make_count_grid(spec: WeightSpec, info: ScalingInfo,
                     table: RecurrenceTable) -> np.ndarray:
     """Evaluation grid for counting zeros of degree info.n - 1 polynomials,
-    read-only and cached on the weight content (as get_table keys it),
-    info and the table's b_n.
+    read-only and cached on the weight content (spec.cache_key, as
+    get_table keys it), info and the table's b_n.
 
     info must be the scaling data for n + 1 (the density that sets the local
     zero spacing).  Near the support edge the step is floored at the
@@ -117,7 +121,7 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo,
     tail takes over.  Raises BudgetError when the whole grid would exceed
     _MAX_GRID points."""
     bn = table.b(info.n - 1)
-    key = (spec.q if spec.fingerprint is None else spec.fingerprint, info, bn)
+    key = (spec.cache_key, info, bn)
     grid = _GRID_CACHE.get(key)
     if grid is None:
         grid = _build_grid(spec, info, bn)
@@ -166,23 +170,6 @@ _SUBDIV_FAN = 6
 # the cells it clears below a third of it, on grids stepped at
 # _GRID_FACTOR / sigma and on the fan sub-cells of depths 1 and 2.
 _EXCLUDE_MARGIN = 0.5
-# coefficient block of one subdivision sweep
-_SLAB_BYTES = 8_000_000
-
-
-def _combo_values(table: RecurrenceTable, Ct: np.ndarray, x: np.ndarray,
-                  n: int, derivs: bool):
-    """Accumulate sum_j Ct[j, i] p_j(x[i]) (and optionally the derivative
-    combination) point by point without storing the polynomial matrix.
-    Returns mantissas and their per-point exponents, as poly_matrix does:
-    the true combination is S[i] * 2^expo[i]."""
-    S = np.zeros((2 if derivs else 1, x.size))  # rows: values, derivatives
-    term = np.empty_like(S)
-    for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, derivs)):
-        if factor is not None:
-            S *= factor
-        S += np.multiply(pd, Ct[k], out=term)
-    return S[0], (S[1] if derivs else None), expo
 
 
 def _hermite_min(f0, f1, m0, m1):
@@ -241,60 +228,43 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
               n: int, a_n: float):
     """Zero counts and brackets for a block of coefficient rows.
 
-    Sign changes of the combination on the grid give the base brackets.  A
-    hidden pair of zeros inside a cell forces (Rolle) a sign change of the
-    derivative there; such cells, less those the Hermite exclusion test
-    clears (see _rescue_cells), are split into a fan of _SUBDIV_FAN
-    sub-cells, every fan point of a level evaluated in one sweep.  The
-    same rule picks which sub-cells are split again, down to
-    _SUBDIV_DEPTH levels; a cell it drops is declared zero-free.
+    Level 0 is the grid, evaluated as C @ P; sign changes of the
+    combination there give the base brackets.  A hidden pair of zeros
+    inside a cell forces (Rolle) a sign change of the derivative there;
+    such cells, less those the Hermite exclusion test clears (see
+    _rescue_cells), are split into a fan of _SUBDIV_FAN sub-cells, and the
+    fan points of all of them are the next level, evaluated in one sweep.
+    Every level adds its sign changes as brackets and picks its cells to
+    split by the same rule, down to _SUBDIV_DEPTH levels below the grid; a
+    cell it drops, or any cell of the last level, is declared zero-free.
 
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
     sign change; a count also includes grid points where a value vanishes.
     """
     P, D, expo = poly_matrix(table, grid, n, derivs=True)
-    V = C @ P
-    Vd = C @ D
+    V, Vd, xs = C @ P, C @ D, grid
     S = np.sign(V)
-    pf = (S[:, :-1] * S[:, 1:]) < 0
-
-    ti, ci = np.nonzero(pf)
-    br_t = [ti]
-    br_lo = [grid[ci]]
-    br_hi = [grid[ci + 1]]
-    br_sl = [S[ti, ci]]
-
-    # pair-rescue subdivision of the surviving derivative-only cells, in
-    # slabs that bound the repeated coefficient block
-    tj, cj = _rescue_cells(V, Vd, expo, grid, pf, a_n)
+    on_grid = np.sum(S == 0, axis=1)
+    rows = np.arange(C.shape[0])  # coefficient row of each row of V
     frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
-    slab = max(1, _SLAB_BYTES // (8 * (n + 1) * frac.size))
-    for s0 in range(0, tj.size, slab):
-        act_t, c = tj[s0:s0 + slab], cj[s0:s0 + slab]
-        act_lo, act_hi = grid[c], grid[c + 1]
-        for _ in range(_SUBDIV_DEPTH):
-            if act_t.size == 0:
-                break
-            xs = act_lo[:, None] + (act_hi - act_lo)[:, None] * frac[None, :]
-            Ct = np.ascontiguousarray(np.repeat(C[act_t], frac.size, axis=0).T)
-            sv, dv, ex = (a.reshape(xs.shape) for a in _combo_values(
-                table, Ct, xs.ravel(), n, derivs=True))
-            sp = np.sign(sv)
-            sub_pf = (sp[:, :-1] * sp[:, 1:]) < 0
-            fi, fj = np.nonzero(sub_pf)
-            if fi.size:
-                br_t.append(act_t[fi])
-                br_lo.append(xs[fi, fj])
-                br_hi.append(xs[fi, fj + 1])
-                br_sl.append(sp[fi, fj])
-            ki, kj = _rescue_cells(sv, dv, ex, xs, sub_pf, a_n)
-            act_t = act_t[ki]
-            act_lo, act_hi = xs[ki, kj], xs[ki, kj + 1]
-
-    bt = np.concatenate(br_t)
-    counts = np.bincount(bt, minlength=C.shape[0]) + np.sum(S == 0, axis=1)
-    return counts, (bt, np.concatenate(br_lo), np.concatenate(br_hi),
-                    np.concatenate(br_sl))
+    found = []
+    for level in range(_SUBDIV_DEPTH + 1):
+        if level:
+            xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
+            V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
+            S = np.sign(V)
+        pf = (S[:, :-1] * S[:, 1:]) < 0
+        i, j = np.nonzero(pf)
+        xb = np.broadcast_to(xs, V.shape)
+        found.append((rows[i], xb[i, j], xb[i, j + 1], S[i, j]))
+        if level == _SUBDIV_DEPTH:
+            break
+        i, j = _rescue_cells(V, Vd, expo, xs, pf, a_n)
+        if i.size == 0:
+            break
+        rows, x0, x1 = rows[i], xb[i, j], xb[i, j + 1]
+    bt, lo, hi, sl = (np.concatenate(a) for a in zip(*found))
+    return np.bincount(bt, minlength=C.shape[0]) + on_grid, (bt, lo, hi, sl)
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
@@ -308,13 +278,11 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
     counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
                                         info.a_n)
     if lo.size:
-        Ct = coeffs[:, None]
         width = _BISECT_REL * info.a_n
         steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
-            sv = _combo_values(table, Ct, mid, n, derivs=False)[0]
-            sm = np.sign(sv)
+            sm = np.sign(combo_values(table, coeffs[None], mid[None], n)[0][0])
             left = sl * sm < 0
             hi = np.where(left, mid, hi)
             lo = np.where(left, lo, mid)
@@ -373,8 +341,8 @@ def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
     z = np.asarray(zeros)
     if imag_tol is None:
         imag_tol = 1e-8 * info.a_n
-    if not imag_tol >= 0:
-        raise DomainError(f"imag_tol must be >= 0, got {imag_tol}")
+    if not 0 <= imag_tol < math.inf:
+        raise DomainError(f"imag_tol must be finite and >= 0, got {imag_tol}")
     pts = np.sort(z.real / info.a_n)
     n_complex = int(np.sum(np.abs(z.imag) > imag_tol))
     return EmpiricalMeasure(scaled_points=pts, total=z.size,
@@ -398,8 +366,9 @@ def ks_to_ullman(measure: EmpiricalMeasure, alpha: float) -> float:
 def partition_edges(partition) -> np.ndarray:
     """Validated interval edges of a partition of the scaled line."""
     edges = np.asarray(partition, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise DomainError("partition must be an increasing list of edges")
+    if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0)):
+        raise DomainError("partition edges must be finite and increasing")
     return edges
 
 

@@ -1,8 +1,9 @@
 """Orthonormal polynomials for W^2 = exp(-2Q): recurrence coefficients by a
 discretized Stieltjes procedure, one overflow-safe vectorised recurrence
 sweep, and the reductions over it: the diagonal reproducing-kernel sums
-that feed the zero-density formula, the basis matrix used for zero
-counting, and the Gram audit of a freshly built table.
+that feed the zero-density formula, the basis matrix and the coefficient
+combinations used for zero counting, and the Gram audit of a freshly built
+table.
 
 The three-term recurrence in orthonormal form is
 
@@ -301,11 +302,11 @@ _TABLE_CACHE: dict[tuple, RecurrenceTable] = {}
 
 
 def get_table(spec: WeightSpec, n_max: int) -> RecurrenceTable:
-    """build_recurrence(spec, n_max), cached on the weight content (the
-    spec's fingerprint, or else its Q callable; never the free-text label)
-    and exactly n_max, so a request's bits never depend on what was cached
-    before it.  The cached arrays are read-only: callers share them."""
-    key = (spec.q if spec.fingerprint is None else spec.fingerprint, n_max)
+    """build_recurrence(spec, n_max), cached on the weight content
+    (spec.cache_key) and exactly n_max, so a request's bits never depend on
+    what was cached before it.  The cached arrays are read-only: callers
+    share them."""
+    key = (spec.cache_key, n_max)
     if key not in _TABLE_CACHE:
         tab = build_recurrence(spec, n_max)
         tab.off_diag.setflags(write=False)
@@ -441,6 +442,23 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
             PD[:, :k, hit] *= _RESCALE
         PD[:, k] = pd
     return PD[0], (PD[1] if derivs else None), expo
+
+
+def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int,
+                 derivs: bool = False):
+    """Mantissas of sum_j C[r, j] p_j (and, with `derivs`, of its derivative)
+    at the points x[r] of each coefficient row r, without storing the basis
+    matrix: C is (rows, n + 1), x is (rows, m), and (S, Sd, expo) are shaped
+    like x, Sd None without derivatives; the true value is S * 2^expo."""
+    x = np.asarray(x, dtype=float)
+    Ct = np.ascontiguousarray(np.transpose(C))[:, :, None]  # (n + 1, rows, 1)
+    S = np.zeros((2 if derivs else 1, *x.shape))  # values, derivatives
+    term = np.empty_like(S)
+    for k, (pd, factor, expo) in enumerate(_sweep(table, x.ravel(), n, derivs)):
+        if factor is not None:
+            S *= factor.reshape(x.shape)
+        S += np.multiply(pd.reshape(S.shape), Ct[k], out=term)
+    return S[0], (S[1] if derivs else None), expo.reshape(x.shape)
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,

@@ -35,9 +35,14 @@ class WeightSpec:
     even: bool
     alpha: float
     label: str
-    # content identity for the table cache (the Freud parameters); None
-    # makes the cache key on the identity of q instead
+    # content identity for the caches (the Freud parameters); None makes
+    # them key on the identity of q instead
     fingerprint: tuple | None = None
+
+    @property
+    def cache_key(self):
+        """Content identity for the table and grid caches (never the label)."""
+        return self.q if self.fingerprint is None else self.fingerprint
 
     def w2(self, x):
         """The orthogonality weight W^2 = exp(-2Q)."""

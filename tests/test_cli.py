@@ -118,13 +118,20 @@ def test_simulate_rejects_negative_imag_tol(monkeypatch, capsys):
     ["kac", "--weight", "freud:1:inf", "--n", "5", "--full-line"],
     *(["kac", "--n", "5", "--full-line", f"--tol={t}"]
       for t in ("0", "-1", "nan")),
-    *(["mrs", "--n", "5", f"--tol={t}"] for t in ("0", "-1", "nan"))])
+    *(["mrs", "--n", "5", f"--tol={t}"] for t in ("0", "-1", "nan")),
+    *(["kac", "--n", "5", "--full-line", f"--pad={p}"]
+      for p in ("inf", "nan", "0", "-1")),
+    *(["simulate", "--n", "10", "--trials", "2", flag] for flag in (
+        "--partition=nan,1", "--partition=-1,inf", "--imag-tol=inf",
+        "--dist=gaussian:inf", "--dist=gaussian:abc", "--dist=gaussian:1:2",
+        "--seed=-1"))])
 def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
     from orthozero import kac, orthopoly, scaling
 
-    # a table build starts with the radius solve, so it integrates too
-    for module, name in ((orthopoly, "_mesh"), (kac, "adaptive_gl"),
-                         (scaling, "cheb_t_integral")):
+    # a table build starts with the radius solve, so it integrates too; a
+    # cached table would skip both, so get_table itself may not run either
+    for module, name in ((orthopoly, "_mesh"), (orthopoly, "get_table"),
+                         (kac, "adaptive_gl"), (scaling, "cheb_t_integral")):
         monkeypatch.setattr(module, name, _must_not_run)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -61,6 +61,32 @@ def test_expected_zeros_profile_invariants(hermite, hermite_table_101):
     assert prof.tail_estimate > 0.0  # Cauchy-type tails carry real mass
 
 
+def test_clamped_fraction_counts_each_evaluated_node_once(
+        hermite, hermite_table_101, monkeypatch):
+    # force a clamp at every evaluated node beyond edge (a panel boundary):
+    # the positive core nodes there and every tail node, none at the
+    # mirrored negative samples
+    from orthozero import kac
+
+    edge = oz.solve_mrs(hermite, 101).a_n
+    seen = {"nodes": 0, "clamped": 0}
+    triple = kac.kernel_triple_many
+
+    def forced(table, x, n):
+        A, B, C, e2 = triple(table, x, n)
+        far = np.asarray(x) > edge
+        B = np.where(far, 2.0 * np.sqrt(A * C), B)  # A C - B^2 = -3 A C
+        seen["nodes"] += far.size
+        seen["clamped"] += int(np.sum(far))
+        return A, B, C, e2
+
+    monkeypatch.setattr(kac, "kernel_triple_many", forced)
+    prof = oz.expected_zeros_full(hermite_table_101, 100, tol=1e-6, edge=edge)
+    assert 0 < seen["clamped"] < seen["nodes"]
+    assert prof.clamped_fraction == seen["clamped"] / seen["nodes"]
+    assert prof.worst_clamp == pytest.approx(-3.0)
+
+
 def test_expected_zeros_empty_interval(hermite_table_101):
     with pytest.raises(DomainError):
         oz.expected_zeros(hermite_table_101, 10, (2.0, 2.0))

@@ -22,6 +22,7 @@ import pytest
 
 import orthozero as oz
 from orthozero import montecarlo as mc
+from orthozero import orthopoly
 
 SCAN = 401
 CELLS_PER_SCAN = 16  # bounds the scan's basis matrices to ~20 MB at n = 200
@@ -108,8 +109,8 @@ def audit(n, trials, law):
 def fan_audit(n, trials, law, monkeypatch):
     """scan() over the derivative-only fan sub-cells of subdivision depths
     1 and 2 of trials 0..trials-1 at seed 0; one (pairs, worst residual)
-    per depth.  _brackets runs as one slab, so the grid call of
-    _rescue_cells comes first and each later call is the next depth."""
+    per depth.  The grid call of _rescue_cells comes first and each later
+    call is the next depth."""
     table, info, grid, C = _setup(n, trials, law)
     rescue = mc._rescue_cells
     levels = []
@@ -128,7 +129,6 @@ def fan_audit(n, trials, law, monkeypatch):
         return t, c
 
     monkeypatch.setattr(mc, "_rescue_cells", spy)
-    monkeypatch.setattr(mc, "_SLAB_BYTES", 1 << 40)
     _, brackets = mc._brackets(table, C, grid, n, info.a_n)
     monkeypatch.undo()
     return [scan(table, C, *level, brackets, mc._EDGE * info.a_n)
@@ -168,11 +168,14 @@ def test_combo_values_exponents_match_poly_matrix(derivs):
     P, D, expo = oz.poly_matrix(table, xs, n, derivs=derivs)
     assert np.unique(expo).size >= 3  # rescales at 256, 1024 and 1280
     Ct = np.random.default_rng(3).standard_normal((n + 1, xs.size))
-    S, Sd, e = mc._combo_values(table, Ct, xs, n, derivs=derivs)
-    assert np.array_equal(e, expo)
-    assert np.allclose(S, np.einsum("ji,ji->i", Ct, P), rtol=1e-9, atol=0)
+    # one coefficient row per point
+    S, Sd, e = orthopoly.combo_values(table, Ct.T, xs[:, None], n,
+                                      derivs=derivs)
+    assert np.array_equal(e[:, 0], expo)
+    assert np.allclose(S[:, 0], np.einsum("ji,ji->i", Ct, P), rtol=1e-9,
+                       atol=0)
     if derivs:
-        assert np.allclose(Sd, np.einsum("ji,ji->i", Ct, D), rtol=1e-9,
+        assert np.allclose(Sd[:, 0], np.einsum("ji,ji->i", Ct, D), rtol=1e-9,
                            atol=0)
 
 
@@ -197,7 +200,7 @@ def _sorted(br):
     return [a[order] for a in br]
 
 
-def test_slab_size_and_row_split_keep_results(monkeypatch):
+def test_row_split_keeps_results():
     spec = oz.parse_weight("freud:0.5:2")
     table = oz.build_recurrence(spec, 61)
     info = oz.solve_mrs(spec, 61)
@@ -205,11 +208,6 @@ def test_slab_size_and_row_split_keep_results(monkeypatch):
     C = np.stack([oz.sample_coeffs(oz.parse_dist("rademacher"), 0, t, 60)
                   for t in range(40)])
     counts, whole = mc._brackets(table, C, grid, 60, info.a_n)
-    monkeypatch.setattr(mc, "_SLAB_BYTES", 1)  # one cell per slab
-    sliced_counts, sliced = mc._brackets(table, C, grid, 60, info.a_n)
-    assert np.array_equal(counts, sliced_counts)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(_sorted(whole), _sorted(sliced)))
     # a row's brackets do not depend on the rows that share its block
     whole = _sorted(whole)
     for t in range(0, 40, 7):
@@ -218,3 +216,23 @@ def test_slab_size_and_row_split_keep_results(monkeypatch):
         assert one_count[0] == counts[t]
         assert all(np.array_equal(a, b[mine])
                    for a, b in zip(_sorted(one)[1:], whole[1:]))
+
+
+def test_one_rescue_pass_per_level(monkeypatch):
+    # about 1,350 grid cells need rescue here: more than the 710 that an
+    # 8 MB block of coefficients repeated per fan point would hold at
+    # n = 200, yet every level is still one pass: grid plus 3
+    n = 200
+    table, info, grid, C = _setup(n, 1000, "rademacher")
+    rescue = mc._rescue_cells
+    calls = []
+
+    def spy(V, Vd, expo, xs, pf, a_n):
+        t, c = rescue(V, Vd, expo, xs, pf, a_n)
+        calls.append(t.size)
+        return t, c
+
+    monkeypatch.setattr(mc, "_rescue_cells", spy)
+    mc._brackets(table, C, grid, n, info.a_n)
+    assert calls[0] > 8_000_000 // (8 * (n + 1) * (mc._SUBDIV_FAN + 1))
+    assert len(calls) <= 1 + mc._SUBDIV_DEPTH

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import orthozero as oz
-from orthozero import montecarlo, orthopoly
+from orthozero import orthopoly
 
 _TRIG = 2.0**250
 _SCALE = 2.0**256
@@ -162,15 +162,19 @@ def test_poly_matrix_matches_reference(case, n, derivs):
 @pytest.mark.parametrize("n", _NS)
 @pytest.mark.parametrize("derivs", [False, True])
 def test_combo_values_match_reference(case, n, derivs):
+    # one row over every point, one row per point, and three rows of
+    # many points each; the reference takes one coefficient per point
     table, spec = case
     x = _points(spec, n)
     rng = np.random.default_rng(n)
-    for rows in (1, 3):
-        Ct = rng.standard_normal((n + 1, x.size)) if rows == 3 else (
-            rng.standard_normal(n + 1)[:, None] * np.ones(x.size))
-        got = montecarlo._combo_values(table, Ct, x, n, derivs)
-        ref = _ref_combo_values(table, Ct, x, n, derivs)
-        assert all(_same_bits(g, r) for g, r in zip(got, ref))
+    for pts in (x[None, :], x[:, None], np.stack([x, x[::-1], -x])):
+        C = rng.standard_normal((pts.shape[0], n + 1))
+        got = orthopoly.combo_values(table, C, pts, n, derivs)
+        Ct = np.repeat(C, pts.shape[1], axis=0).T
+        ref = _ref_combo_values(table, Ct, pts.ravel(), n, derivs)
+        assert all(_same_bits(None if g is None else g.ravel(), r)
+                   for g, r in zip(got, ref))
+        assert all(g is None or g.shape == pts.shape for g in got)
 
 
 @pytest.mark.parametrize("derivs", [False, True])
