@@ -24,6 +24,7 @@ from .errors import (
     DiscretizationError,
     DomainError,
 )
+from .quadrature import check_interval
 
 SUBCOMMANDS = ("mrs", "density", "recurrence", "kac", "simulate", "verify")
 
@@ -60,7 +61,7 @@ def cmd_mrs(ns) -> int:
     spec = weights.parse_weight(ns.weight)
     rows = ["n,a_n,residual"]
     for n in ns.n:
-        info = scaling.solve_mrs(spec, n, tol=ns.tol)
+        info = scaling.solve_mrs(spec, n)
         rows.append(f"{n},{fmt(info.a_n)},{fmt(info.residual)}")
     _write(ns.output, "\n".join(rows) + "\n")
     return 0
@@ -83,7 +84,7 @@ def cmd_density(ns) -> int:
 
 def cmd_recurrence(ns) -> int:
     spec = weights.parse_weight(ns.weight)
-    table = orthopoly.build_recurrence(spec, ns.n_max, pad=ns.pad)
+    table = orthopoly.build_recurrence(spec, ns.n_max)
     if ns.cache:
         orthopoly.save_table(table, ns.cache)
     lead = table.leading
@@ -105,8 +106,10 @@ def cmd_kac(ns) -> int:
         raise DomainError("--scaled needs --interval inside (-1, 1)")
     if not ns.tol > 0:  # before the table build; the integrators refuse it too
         raise DomainError(f"--tol must be > 0, got {ns.tol}")
-    if not 0 < ns.pad < np.inf:
-        raise DomainError(f"--pad must be positive and finite, got {ns.pad}")
+    if ns.scaled:
+        kac.check_scaled_interval(*ns.interval)
+    elif ns.interval is not None:
+        check_interval(*ns.interval)
     if ns.basis == "monomial":
         prof = kac.expected_zeros_monomial(
             ns.n, None if ns.full_line else tuple(ns.interval), tol=ns.tol)
@@ -121,7 +124,7 @@ def cmd_kac(ns) -> int:
         info = scaling.solve_mrs(spec, ns.n + 1)
         if ns.full_line:
             prof = kac.expected_zeros_full(table, ns.n, tol=ns.tol,
-                                           pad=ns.pad, edge=info.a_n)
+                                           edge=info.a_n)
         else:
             prof = kac.expected_zeros(table, ns.n, tuple(ns.interval),
                                       tol=ns.tol, edge=info.a_n)
@@ -136,8 +139,7 @@ def cmd_kac(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     # every input is checked before the table build
-    if ns.imag_tol is not None and not 0 <= ns.imag_tol < np.inf:
-        raise DomainError(f"--imag-tol must be in [0, inf), got {ns.imag_tol}")
+    montecarlo.check_trials(ns.trials)
     if ns.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {ns.seed}")
     spec = weights.parse_weight(ns.weight)
@@ -149,7 +151,7 @@ def cmd_simulate(ns) -> int:
                                        ns.seed)
     # the partition shares come from the same eigenvalues as the KS statistic
     ms = montecarlo.eigen_measures(table, scaling.solve_mrs(spec, ns.n), dist,
-                                   ns.seed, ns.trials, ns.imag_tol)
+                                   ns.seed, ns.trials)
     rows = ["trial,count"]
     rows += [f"{t},{int(c)}" for t, c in enumerate(res.counts)]
     summary = {
@@ -206,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--n", type=_int_list, required=True,
                     help="degree or comma list of degrees")
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_mrs)
 
     sp = sub.add_parser("density", help="normalized equilibrium density table")
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("recurrence", help="recurrence coefficient table")
     add_common(sp)
     sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--pad", type=float, default=1.5)
     sp.add_argument("--cache", help="also save the table to this npz file")
     sp.set_defaults(func=cmd_recurrence)
 
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
     sp.add_argument("--full-line", action="store_true")
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--pad", type=float, default=1.5)
     sp.add_argument("--basis", choices=("orthonormal", "monomial"),
                     default="orthonormal")
     sp.add_argument("--scaled", action="store_true",
@@ -241,13 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--dist", default="gaussian",
-                    help="gaussian[:sigma] | rademacher | uniform")
+                    help="gaussian | rademacher | uniform")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--partition", type=_float_list,
                     help="comma list of interval edges in [-1, 1]; use "
                          "--partition=-1,0,1 when the first edge is negative")
-    sp.add_argument("--imag-tol", type=float,
-                    help="absolute real/complex threshold (default 1e-8 a_n)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")

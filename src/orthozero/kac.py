@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .orthopoly import RecurrenceTable, kernel_triple_many
-from .quadrature import adaptive_gl
+from .quadrature import adaptive_gl, check_interval
 from .scaling import solve_mrs
 from .weights import WeightSpec
 
@@ -100,9 +100,7 @@ def _integrate(table: RecurrenceTable, n: int, interval, tol: float,
                edge: float | None, stats: _ClampStats):
     """expected_zeros' (value, error, samples x, samples density), with the
     clamps of every evaluated node recorded in `stats`."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise DomainError(f"empty interval {interval}")
+    lo, hi = check_interval(*interval)
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
     shoulder = [f * edge for f in (0.85, 0.95, 0.99, 1.0, 1.01, 1.05, 1.15)]
@@ -117,10 +115,10 @@ def _integrate(table: RecurrenceTable, n: int, interval, tol: float,
 
 
 def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
-                        pad: float = 1.5, edge: float | None = None) -> ZeroDensityProfile:
+                        edge: float | None = None) -> ZeroDensityProfile:
     """Expected count over the whole line.
 
-    The core is integrated on [-pad*edge, pad*edge], folded onto x >= 0 as
+    The core is integrated on [-1.5 edge, 1.5 edge], folded onto x >= 0 as
     in `expected_zeros`; the two tails are integrated exactly under u = 1/x,
     where the density is smooth and tends to a constant (it decays like
     b_n/(pi x^2), a Cauchy-type tail, so no cutoff radius can make it
@@ -129,7 +127,7 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
     """
     if edge is None:
         edge = 2.0 * table.b(n) if n >= 1 else 1.0
-    R = pad * edge
+    R = 1.5 * edge
     stats = _ClampStats()
     val, err, xs, fs = _integrate(table, n, (-R, R), tol * 0.5, edge, stats)
     dens = _density_batch(table, n, stats)
@@ -145,6 +143,12 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
         worst_clamp=stats.worst, tail_estimate=tval)
 
 
+def check_scaled_interval(a: float, b: float) -> None:
+    """DomainError unless [a, b] is a subinterval of (-1, 1)."""
+    if not -1.0 < a < b < 1.0:
+        raise DomainError(f"[{a}, {b}] must be a subinterval of (-1, 1)")
+
+
 def scaled_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                           a: float, b: float, tol: float = 1e-6) -> float:
     """(1/n) E[N over the expanded image of [a, b]] for [a, b] in (-1, 1).
@@ -152,8 +156,7 @@ def scaled_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     Counting zeros of the contracted polynomial on [a, b] is identical to
     counting zeros of the original on its expanded image, since the
     contraction is a bijection."""
-    if not -1.0 < a < b < 1.0:
-        raise DomainError(f"[{a}, {b}] must be a subinterval of (-1, 1)")
+    check_scaled_interval(a, b)
     info = solve_mrs(spec, n)
     prof = expected_zeros(table, n, (float(info.expand(a)), float(info.expand(b))),
                           tol=tol, edge=info.a_n)

@@ -30,31 +30,20 @@ _DISTS = ("gaussian", "rademacher", "uniform")
 
 @dataclass(frozen=True)
 class CoeffDist:
-    """Coefficient law: gaussian(sigma), rademacher, or uniform(-1, 1).
-    All three satisfy E[|log|c_0||] < inf."""
+    """Coefficient law: standard gaussian, rademacher, or uniform(-1, 1).
+    All three satisfy E[|log|c_0||] < inf.  A common scale of the c_j
+    moves no zero, so none is offered."""
 
     kind: str
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _DISTS:
             raise DomainError(f"unknown coefficient law {self.kind!r}")
-        if self.kind == "gaussian" and not 0 < self.sigma < math.inf:
-            raise DomainError(
-                f"gaussian sigma must be positive and finite, got {self.sigma}")
 
 
 def parse_dist(text: str) -> CoeffDist:
-    parts = text.split(":")
-    if parts[0] == "gaussian" and len(parts) <= 2:
-        try:
-            sigma = float(parts[1]) if len(parts) == 2 else 1.0
-        except ValueError as exc:
-            raise DomainError(f"bad gaussian sigma in {text!r}") from exc
-        return CoeffDist("gaussian", sigma)
-    if len(parts) == 1 and parts[0] in _DISTS:
-        return CoeffDist(parts[0])
-    raise DomainError(f"cannot parse coefficient law {text!r}")
+    """The law named `text`: one of gaussian, rademacher, uniform."""
+    return CoeffDist(text)
 
 
 def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> np.ndarray:
@@ -68,7 +57,7 @@ def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(trial,)))
     if dist.kind == "gaussian":
-        return dist.sigma * rng.standard_normal(n + 1)
+        return rng.standard_normal(n + 1)
     if dist.kind == "rademacher":
         return rng.integers(0, 2, size=n + 1).astype(float) * 2.0 - 1.0
     return rng.uniform(-1.0, 1.0, size=n + 1)
@@ -333,16 +322,12 @@ class EmpiricalMeasure:
         return np.histogram(self.scaled_points, edges)[0] / self.total
 
 
-def empirical_measure(zeros: np.ndarray, info: ScalingInfo,
-                      imag_tol: float | None = None) -> EmpiricalMeasure:
+def empirical_measure(zeros: np.ndarray, info: ScalingInfo) -> EmpiricalMeasure:
     """Normalized counting measure of zeros contracted by a_n.  No point is
-    discarded; complex_count records how many had |Im z| above imag_tol
-    (default 1e-8 a_n)."""
+    discarded; complex_count records how many had |Im z| above
+    imag_tol = 1e-8 a_n."""
     z = np.asarray(zeros)
-    if imag_tol is None:
-        imag_tol = 1e-8 * info.a_n
-    if not 0 <= imag_tol < math.inf:
-        raise DomainError(f"imag_tol must be finite and >= 0, got {imag_tol}")
+    imag_tol = 1e-8 * info.a_n
     pts = np.sort(z.real / info.a_n)
     n_complex = int(np.sum(np.abs(z.imag) > imag_tol))
     return EmpiricalMeasure(scaled_points=pts, total=z.size,
@@ -373,12 +358,12 @@ def partition_edges(partition) -> np.ndarray:
 
 
 def eigen_measures(table: RecurrenceTable, info: ScalingInfo,
-                   dist: CoeffDist, seed: int, trials: int,
-                   imag_tol: float | None = None) -> list[EmpiricalMeasure]:
+                   dist: CoeffDist, seed: int,
+                   trials: int) -> list[EmpiricalMeasure]:
     """Scaled zero measures of trials 0..trials-1 at degree info.n, each
     from the comrade-matrix eigenvalues of its own coefficient draw."""
     return [empirical_measure(
-        all_zeros(table, sample_coeffs(dist, seed, t, info.n)), info, imag_tol)
+        all_zeros(table, sample_coeffs(dist, seed, t, info.n)), info)
         for t in range(trials)]
 
 
@@ -392,13 +377,18 @@ class McResult:
     trials: int
 
 
+def check_trials(trials: int) -> None:
+    """DomainError unless trials >= 2, the fewest with a standard error."""
+    if trials < 2:
+        raise DomainError("need at least 2 trials for a standard error")
+
+
 def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                       trials: int, dist: CoeffDist, seed: int,
                       info: ScalingInfo | None = None) -> McResult:
     """Mean and standard error of the real-zero count over independent
     trials."""
-    if trials < 2:
-        raise DomainError("need at least 2 trials for a standard error")
+    check_trials(trials)
     if info is None:
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table)

@@ -21,7 +21,7 @@ would silently truncate the measure and corrupt the high-order
 coefficients.  Coefficients are stored in double precision, leading
 coefficients also in log form, since gamma_k itself underflows for large k.
 
-The mesh reaches R = pad * a_{2 n_max}, but the weighted polynomials of
+The mesh reaches R = 1.5 a_{2 n_max}, but the weighted polynomials of
 degree <= n_max decay past the n^(-2/3) edge layer beyond a_{n_max}, so the
 Lanczos vectors run only on an active window that ends near
 a_{n_max} (1 + 2 (12/n_max)^(2/3)).  The window's last node certifies at
@@ -81,7 +81,6 @@ class RecurrenceTable:
     off_diag: np.ndarray
     log_leading: np.ndarray
     ortho_residual: float
-    pad: float
     mesh_signature: str
 
     @property
@@ -100,11 +99,10 @@ class RecurrenceTable:
         return float(self.off_diag[k - 1])
 
 
-def _support_radius(spec: WeightSpec, n_max: int, pad: float) -> float:
-    """pad * a_{2 n_max}, clipped where exp(-2Q) leaves extended-precision
+def _support_radius(spec: WeightSpec, n_max: int) -> float:
+    """1.5 a_{2 n_max}, clipped where exp(-2Q) leaves extended-precision
     range (the clipped tail carries no representable mass)."""
-    a2n = solve_mrs(spec, 2 * n_max, tol=1e-8).a_n
-    r = pad * a2n
+    r = 1.5 * solve_mrs(spec, 2 * n_max).a_n
     if float(spec.q(np.float64(r))) <= 5500.0:
         return r
     lo, hi = 0.0, r
@@ -142,7 +140,7 @@ def _window_edge(spec: WeightSpec, n_max: int) -> float:
     """Where the Stieltjes window ends: a_{n_max} (1 + 2 (12/n_max)^(2/3)),
     past the n^(-2/3) edge layer beyond which the weighted polynomials of
     degree <= n_max decay; clipped to R by the mesh itself."""
-    return solve_mrs(spec, n_max, tol=1e-8).a_n * (
+    return solve_mrs(spec, n_max).a_n * (
         1 + 2 * (12 / n_max) ** (2 / 3))
 
 
@@ -238,12 +236,11 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
                for Tp in (T[0::2], T[1::2]))
 
 
-def build_recurrence(spec: WeightSpec, n_max: int,
-                     pad: float = 1.5) -> RecurrenceTable:
+def build_recurrence(spec: WeightSpec, n_max: int) -> RecurrenceTable:
     """Build the recurrence table by the discretized Stieltjes procedure.
 
     The measure exp(-2Q) dx is truncated to [-R, R] with
-    R = pad * a_{2 n_max} (weighted polynomials of the degrees involved
+    R = 1.5 a_{2 n_max} (weighted polynomials of the degrees involved
     carry only exponentially small mass outside) and discretized on
     composite Gauss-Legendre panels.  The node count doubles until the
     coefficient table stabilizes; the result must pass the independent-mesh
@@ -253,14 +250,12 @@ def build_recurrence(spec: WeightSpec, n_max: int,
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if not 1.1 <= pad < math.inf:
-        raise DomainError(f"pad must be finite and >= 1.1, got {pad}")
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         raise DiscretizationError(
             "numpy longdouble is no wider than float64 on this platform: the "
             "Stieltjes weights exp(-2Q) would underflow once Q > ~354 and "
             "silently truncate the measure")
-    R = _support_radius(spec, n_max, pad)
+    R = _support_radius(spec, n_max)
     edge = _window_edge(spec, n_max)
     n_target = max(1200, 16 * n_max)
     prev = None
@@ -288,7 +283,7 @@ def build_recurrence(spec: WeightSpec, n_max: int,
 
     table = RecurrenceTable(
         label=spec.label, n_max=n_max, off_diag=off, log_leading=log_leading,
-        ortho_residual=math.nan, pad=pad,
+        ortho_residual=math.nan,
         mesh_signature=f"gl24x{n_target};r0.5x30;R={R:.12g}")
     residual = _gram_residual(spec, table, R, n_target)
     if residual > 1e-8:
@@ -320,7 +315,7 @@ def save_table(table: RecurrenceTable, path) -> None:
         path, format_version=TABLE_FORMAT_VERSION, label=table.label,
         n_max=table.n_max, off_diag=table.off_diag,
         log_leading=table.log_leading, ortho_residual=table.ortho_residual,
-        pad=table.pad, mesh_signature=table.mesh_signature)
+        mesh_signature=table.mesh_signature)
 
 
 def load_table(path) -> RecurrenceTable:
@@ -339,7 +334,7 @@ def load_table(path) -> RecurrenceTable:
         return RecurrenceTable(
             label=str(z["label"]), n_max=n_max, off_diag=off,
             log_leading=log_lead, ortho_residual=float(z["ortho_residual"]),
-            pad=float(z["pad"]), mesh_signature=str(z["mesh_signature"]))
+            mesh_signature=str(z["mesh_signature"]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +457,20 @@ def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int,
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,
-                        info: ScalingInfo, x: float,
-                        eps: float = 0.05) -> tuple[float, float, float]:
+                        info: ScalingInfo, x: float) -> tuple[float, float, float]:
     """Convergence diagnostics of the weighted kernel against the
-    equilibrium density, at x inside the eps-shrunk support window for
-    degree n + 1 = info.n:
+    equilibrium density, at x inside the 0.05-shrunk support window
+    info.j_interval(0.05) for degree n + 1 = info.n:
 
         r00 = W^2 K / sigma            -> 1
         r01 = W^2 K^(0,1)/sigma^2 - Q'/sigma   -> 0
         r11 = W^2 K^(1,1)/sigma^3 - (Q'/sigma)^2 -> pi^2/3
     """
     n = info.n - 1
-    lo, hi = info.j_interval(eps)
+    lo, hi = info.j_interval(0.05)
     if not lo <= x <= hi:
         raise DomainError(
-            f"x = {x} outside the eps-window [{lo:.6g}, {hi:.6g}]")
+            f"x = {x} outside the window [{lo:.6g}, {hi:.6g}]")
     A, Bv, Cv, e2 = kernel_triple_many(table, [x], n)
     sigma = equilibrium_density_many(spec, info, [x])[0]
     log_w2 = -2.0 * float(spec.q(np.float64(x)))

@@ -67,6 +67,14 @@ def cheb_t_integral(node_sum, tol: float, m0: int = 32, m_cap: int = 1 << 21):
     )
 
 
+def check_interval(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) as floats; DomainError unless -inf < lo < hi < inf."""
+    lo, hi = float(lo), float(hi)
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainError(f"interval ({lo}, {hi}) must be finite and non-empty")
+    return lo, hi
+
+
 def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
                 presplit=None, max_panels: int = 20000):
     """Adaptive bisection with a fixed-order Gauss rule per panel.
@@ -80,8 +88,7 @@ def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
     """
     if not tol > 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    if not hi > lo:
-        raise DomainError(f"empty interval ({lo}, {hi})")
+    check_interval(lo, hi)
     xg, wg = gl_rule(order)
     xs_all: list[np.ndarray] = []
     fs_all: list[np.ndarray] = []

@@ -88,24 +88,23 @@ def _mrs_integral(spec: WeightSpec, a: float, tol: float) -> float:
     return val / math.pi
 
 
-def solve_mrs(spec: WeightSpec, n: int, tol: float = 1e-10) -> ScalingInfo:
+def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
     """Solve for the radius a_n of an even weight.
 
     Brackets by doubling from a = 1, bisects to relative width 1e-13, then
     tries one Newton polish using the differentiated integrand, kept only
-    when it leaves the defect no larger than at the midpoint.  `tol`
-    bounds the equation defect relative to n (the equation's own scale;
-    float evaluation noise alone is ~1e-13 n).
+    when it leaves the defect no larger than at the midpoint.  Each
+    evaluation of the left side converges to 1e-10 n (the equation's own
+    scale; float evaluation noise alone is ~1e-13 n); the defect actually
+    left at the returned radius is ScalingInfo.residual.
     """
     if not spec.even:
         raise NonEvenWeightError(
             f"{spec.label}: the radius equation is implemented for even Q only")
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
 
-    itol = min(tol, 1e-10) * max(1.0, n)
+    itol = 1e-10 * max(1.0, n)
 
     def obj(a: float) -> float:
         return _mrs_integral(spec, a, itol)

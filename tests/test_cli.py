@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import orthozero as oz
-from orthozero.cli import read_config, run
+from orthozero.cli import build_parser, read_config, run
 
 
 def capture(argv):
@@ -101,30 +102,22 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("called after the failure should have been raised")
 
 
-def test_simulate_rejects_negative_imag_tol(monkeypatch, capsys):
-    from orthozero import montecarlo
-
-    # the flag is checked before the count runs
-    monkeypatch.setattr(montecarlo, "mc_expected_zeros", _must_not_run)
-    assert run(["simulate", "--n", "10", "--trials", "2",
-                "--imag-tol=-1"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 @pytest.mark.parametrize("argv", [
-    ["recurrence", "--n-max", "3", "--pad", "nan"],
-    ["recurrence", "--n-max", "3", "--pad", "inf"],
     ["kac", "--weight", "freud:inf:2", "--n", "5", "--full-line"],
     ["kac", "--weight", "freud:1:inf", "--n", "5", "--full-line"],
     *(["kac", "--n", "5", "--full-line", f"--tol={t}"]
       for t in ("0", "-1", "nan")),
-    *(["mrs", "--n", "5", f"--tol={t}"] for t in ("0", "-1", "nan")),
-    *(["kac", "--n", "5", "--full-line", f"--pad={p}"]
-      for p in ("inf", "nan", "0", "-1")),
     *(["simulate", "--n", "10", "--trials", "2", flag] for flag in (
-        "--partition=nan,1", "--partition=-1,inf", "--imag-tol=inf",
-        "--dist=gaussian:inf", "--dist=gaussian:abc", "--dist=gaussian:1:2",
-        "--seed=-1"))])
+        "--partition=nan,1", "--partition=-1,inf", "--dist=gaussian:inf",
+        "--dist=gaussian:abc", "--dist=gaussian:1:2", "--seed=-1",
+        "--dist=gaussian:0.5")),
+    *(["kac", "--n", "10", "--basis", basis, "--interval", lo, hi]
+      for basis in ("orthonormal", "monomial")
+      for lo, hi in (("0", "inf"), ("-1", "nan"), ("nan", "1"))),
+    ["kac", "--n", "10", "--interval", "1", "1"],
+    *(["kac", "--n", "200", "--scaled", "--interval", lo, hi]
+      for lo, hi in (("-0.5", "1.5"), ("nan", "0.5"))),
+    *(["simulate", "--n", "10", f"--trials={t}"] for t in ("1", "0"))])
 def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
     from orthozero import kac, orthopoly, scaling
 
@@ -218,12 +211,36 @@ def test_output_file(tmp_path):
     assert path.read_text().startswith("n,a_n,residual")
 
 
+def test_option_strings_are_exactly_these():
+    # a new flag, or a dropped one, must edit this list
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+
+    def flags(p):
+        return sorted(s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help"))
+
+    got = {name: flags(sp) for name, sp in sub.choices.items()}
+    assert flags(parser) == ["--config"]
+    assert got == {
+        "mrs": ["--n", "--output", "--weight"],
+        "density": ["--n", "--output", "--points", "--tol", "--weight"],
+        "recurrence": ["--cache", "--n-max", "--output", "--weight"],
+        "kac": ["--basis", "--full-line", "--interval", "--n", "--output",
+                "--scaled", "--tol", "--weight"],
+        "simulate": ["--dist", "--n", "--output", "--partition", "--seed",
+                     "--trials", "--weight"],
+        "verify": ["--only", "--output"],
+    }
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("# radius run\nweight=freud:1:2\n\ntol=1e-9\n")
-    assert read_config(cfg) == {"weight": "freud:1:2", "tol": "1e-9"}
+    cfg.write_text("# radius run\nweight=freud:1:2\n\nn=8\n")
+    assert read_config(cfg) == {"weight": "freud:1:2", "n": "8"}
     _, direct = capture(["mrs", "--weight", "freud:1:2", "--n", "8"])
-    _, via_cfg = capture(["--config", str(cfg), "mrs", "--n", "8"])
+    _, via_cfg = capture(["--config", str(cfg), "mrs"])
     assert via_cfg == direct
     # explicit flag wins over the config value
     _, override = capture(["--config", str(cfg), "mrs", "--weight",

@@ -19,16 +19,24 @@ def test_sample_reproducibility():
 
 
 def test_gaussian_moments():
-    d = oz.CoeffDist("gaussian", sigma=1.0)
+    d = oz.CoeffDist("gaussian")
     x = oz.sample_coeffs(d, 123, 0, 10**6 - 1)
     assert abs(x.mean()) <= 4.0 / math.sqrt(1e6)
     assert abs(x.var() - 1.0) <= 0.01
 
 
-def test_gaussian_sigma_scales():
-    base = oz.sample_coeffs(oz.CoeffDist("gaussian", 1.0), 5, 0, 20)
-    wide = oz.sample_coeffs(oz.CoeffDist("gaussian", 2.5), 5, 0, 20)
-    assert np.allclose(wide, 2.5 * base)
+def test_coefficient_scale_moves_no_zero(hermite, hermite_table_60):
+    # why the gaussian law has no scale: c and 2.5 c have the same zeros
+    # and the same real-zero count
+    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 5, 0, 20)
+    info = oz.solve_mrs(hermite, 21)
+    one, wide = (oz.count_real_zeros(hermite, hermite_table_60, v, info)
+                 for v in (c, 2.5 * c))
+    assert one.count == wide.count
+    assert np.allclose(one.zeros, wide.zeros, rtol=0, atol=1e-9)
+    assert np.allclose(np.sort_complex(oz.all_zeros(hermite_table_60, c)),
+                       np.sort_complex(oz.all_zeros(hermite_table_60, 2.5 * c)),
+                       rtol=0, atol=1e-9)
 
 
 def test_rademacher_support():
@@ -42,13 +50,11 @@ def test_uniform_support():
 
 
 def test_parse_dist():
-    assert oz.parse_dist("gaussian").sigma == 1.0
-    assert oz.parse_dist("gaussian:0.5").sigma == 0.5
+    assert oz.parse_dist("gaussian").kind == "gaussian"
     assert oz.parse_dist("rademacher").kind == "rademacher"
-    with pytest.raises(DomainError):
-        oz.parse_dist("cauchy")
-    with pytest.raises(DomainError):
-        oz.CoeffDist("gaussian", sigma=0.0)
+    for text in ("cauchy", "gaussian:0.5"):
+        with pytest.raises(DomainError):
+            oz.parse_dist(text)
 
 
 def test_linear_sample_one_zero(hermite, hermite_table_60):
@@ -157,23 +163,15 @@ def test_empirical_measure_fields(hermite, hermite_table_60):
     assert real_only.complex_count == 0
 
 
-def test_empirical_measure_rejects_negative_imag_tol():
-    info = oz.ScalingInfo(n=3, a_n=1.0, residual=0.0)
-    for bad in (-1.0, math.nan):
-        with pytest.raises(DomainError):
-            oz.empirical_measure(np.array([0.1, -0.5, 0.3]), info,
-                                 imag_tol=bad)
-
-
 def test_eigen_measures_match_per_trial(hermite, hermite_table_60):
     d = oz.parse_dist("rademacher")
     info = oz.solve_mrs(hermite, 25)
-    ms = oz.eigen_measures(hermite_table_60, info, d, 6, 4, imag_tol=1e-9)
+    ms = oz.eigen_measures(hermite_table_60, info, d, 6, 4)
     assert len(ms) == 4
     for t, m in enumerate(ms):
         one = oz.empirical_measure(
             oz.all_zeros(hermite_table_60, oz.sample_coeffs(d, 6, t, 25)),
-            info, imag_tol=1e-9)
+            info)
         assert np.array_equal(m.scaled_points, one.scaled_points)
         assert (m.total, m.complex_count, m.imag_tol) == (
             one.total, one.complex_count, one.imag_tol)

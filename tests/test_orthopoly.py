@@ -120,7 +120,7 @@ def test_residual_and_independent_gram(hermite_table_60):
 def _audit_mesh(spec, table):
     """(R, n_target) of the build that produced `table`."""
     n_target = int(re.match(r"gl24x(\d+);", table.mesh_signature).group(1))
-    return orthopoly._support_radius(spec, table.n_max, table.pad), n_target
+    return orthopoly._support_radius(spec, table.n_max), n_target
 
 
 def _full_mesh_gram_residual(spec, table, R, n_target):
@@ -290,12 +290,17 @@ def test_table_quad_rule_reproduces_moment(hermite_table_60, freud14):
 def test_table_save_load_roundtrip(tmp_path, hermite_table_60):
     path = tmp_path / "table.npz"
     oz.save_table(hermite_table_60, path)
-    back = oz.load_table(path)
-    assert back.label == hermite_table_60.label
-    assert np.array_equal(back.off_diag, hermite_table_60.off_diag)
-    assert np.array_equal(back.log_leading, hermite_table_60.log_leading)
-    assert back.ortho_residual == hermite_table_60.ortho_residual
-    assert back.mesh_signature == hermite_table_60.mesh_signature
+    # format-2 files written while the mesh pad was settable carry a pad
+    # entry; load_table ignores it
+    padded = tmp_path / "padded.npz"
+    with np.load(path) as z:
+        np.savez_compressed(padded, **z, pad=1.5)
+    for back in map(oz.load_table, (path, padded)):
+        assert back.label == hermite_table_60.label
+        assert np.array_equal(back.off_diag, hermite_table_60.off_diag)
+        assert np.array_equal(back.log_leading, hermite_table_60.log_leading)
+        assert back.ortho_residual == hermite_table_60.ortho_residual
+        assert back.mesh_signature == hermite_table_60.mesh_signature
 
 
 def test_get_table_bits_independent_of_cache_order(hermite, monkeypatch):
@@ -346,7 +351,7 @@ def test_table_format_v1_rejected(tmp_path, hermite_table_60):
         path, format_version=1, label=t.label, n_max=t.n_max,
         off_diag=t.off_diag, diag=np.zeros(t.n_max), log_leading=t.log_leading,
         quad_nodes=np.zeros(3), quad_weights=np.zeros(3),
-        ortho_residual=t.ortho_residual, pad=t.pad,
+        ortho_residual=t.ortho_residual, pad=1.5,
         mesh_signature=t.mesh_signature)
     with pytest.raises(DomainError, match=r"format 1 .*recurrence --cache"):
         oz.load_table(path)
@@ -360,7 +365,7 @@ def test_truncated_table_file_rejected(tmp_path, hermite_table_60):
         np.savez_compressed(
             path, format_version=orthopoly.TABLE_FORMAT_VERSION,
             label=t.label, n_max=t.n_max, off_diag=off, log_leading=log_lead,
-            ortho_residual=t.ortho_residual, pad=t.pad,
+            ortho_residual=t.ortho_residual,
             mesh_signature=t.mesh_signature)
         with pytest.raises(DomainError, match="n_max 60"):
             oz.load_table(path)
@@ -408,7 +413,7 @@ def test_short_window_falls_back_to_full_mesh(end, hermite, monkeypatch):
     # certificate must fail on each mesh, and the table is the one built
     # without a window
     n_max = 101
-    a_n = oz.solve_mrs(hermite, n_max, tol=1e-8).a_n
+    a_n = oz.solve_mrs(hermite, n_max).a_n
     monkeypatch.setattr(orthopoly, "_window_edge", lambda spec, n: math.inf)
     full = oz.build_recurrence(hermite, n_max)
     monkeypatch.setattr(orthopoly, "_window_edge",
@@ -428,8 +433,7 @@ def test_certificate_needs_a_weighted_sentinel_and_decay(hermite):
     # says nothing about the nodes past it, and with Q'(x_e) taken as 0
     # nothing bounds the growth of |p_k| e^-Q beyond it
     n_max = 101
-    nodes, wts = orthopoly._mesh(orthopoly._support_radius(hermite, n_max,
-                                                           1.5),
+    nodes, wts = orthopoly._mesh(orthopoly._support_radius(hermite, n_max),
                                  1616, order=24, grade_ratio=0.5,
                                  grade_levels=30)
     w2w = np.exp(np.longdouble(-2) * hermite.q(nodes)) * wts
@@ -464,7 +468,7 @@ def test_q1_decreasing_beyond_window_takes_full_mesh(hermite, monkeypatch):
                          for nodes, _, _, keep, out in calls)
     assert tab.ortho_residual <= 1e-8
     # on the build's first mesh the undented weight drops nodes
-    nodes, wts = orthopoly._mesh(orthopoly._support_radius(spec, 100, 1.5),
+    nodes, wts = orthopoly._mesh(orthopoly._support_radius(spec, 100),
                                  1600, order=24, grade_ratio=0.5,
                                  grade_levels=30)
     assert np.array_equal(nodes, calls[0][0])
@@ -476,9 +480,6 @@ def test_q1_decreasing_beyond_window_takes_full_mesh(hermite, monkeypatch):
 def test_build_rejects_bad_arguments(hermite):
     with pytest.raises(DomainError):
         oz.build_recurrence(hermite, 0)
-    for pad in (1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            oz.build_recurrence(hermite, 10, pad=pad)
 
 
 def test_build_rejects_float64_longdouble(hermite, monkeypatch):

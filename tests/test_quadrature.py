@@ -102,12 +102,20 @@ def test_adaptive_gl_one_call_per_refinement_wave():
     assert np.array_equal(ys, ref_ys)
 
 
+def _never(x):
+    raise AssertionError("integrand evaluated")
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_integrators_reject_tolerance_not_above_zero(tol):
-    def never(x):
-        raise AssertionError("integrand evaluated")
+    with pytest.raises(DomainError, match="tolerance"):
+        adaptive_gl(_never, 0.0, 1.0, tol=tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        cheb_t_integral(_never, tol=tol)
 
-    with pytest.raises(DomainError, match="tolerance"):
-        adaptive_gl(never, 0.0, 1.0, tol=tol)
-    with pytest.raises(DomainError, match="tolerance"):
-        cheb_t_integral(never, tol=tol)
+
+@pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (-float("inf"), 0.0),
+                                    (float("nan"), 1.0), (1.0, 1.0)])
+def test_adaptive_gl_rejects_non_finite_or_empty_interval(lo, hi):
+    with pytest.raises(DomainError, match="interval"):
+        adaptive_gl(_never, lo, hi, tol=1e-8)
