@@ -5,7 +5,6 @@ and seeded Monte Carlo verification of the limit laws."""
 from .errors import (
     BracketError,
     BudgetError,
-    DegenerateInputError,
     DegenerateSampleError,
     DiscretizationError,
     DomainError,
@@ -34,7 +33,6 @@ from .montecarlo import (
     ks_to_ullman,
     make_count_grid,
     mc_expected_zeros,
-    parse_dist,
     sample_coeffs,
 )
 from .orthopoly import (
@@ -56,19 +54,15 @@ from .scaling import (
     sigma_curve,
     sigma_star_curve,
     solve_mrs,
-    ullman_cdf,
     ullman_cdf_many,
     ullman_density,
     ullman_density_alt,
 )
 from .weights import (
-    ClassReport,
     WeightSpec,
-    eval_T,
     make_custom,
     make_freud,
     parse_weight,
-    validate_class,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import acceptance, kac, montecarlo, orthopoly, scaling, weights
 from .errors import (
     BracketError,
     BudgetError,
-    DegenerateInputError,
     DegenerateSampleError,
     DiscretizationError,
     DomainError,
@@ -143,7 +143,7 @@ def cmd_simulate(ns) -> int:
     if ns.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {ns.seed}")
     spec = weights.parse_weight(ns.weight)
-    dist = montecarlo.parse_dist(ns.dist)
+    dist = montecarlo.CoeffDist(ns.dist)
     edges = montecarlo.partition_edges(ns.partition) if ns.partition else None
     table = orthopoly.get_table(spec, ns.n)
     # count first: a grid over budget fails before any eigensolve
@@ -224,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_recurrence)
 
     sp = sub.add_parser("kac", help="expected real zeros by quadrature")
+    # argparse takes "-1e1" and "-inf" for options; read them as values, so
+    # "--interval -1e1 1" works like "-10 1" and "-inf" meets check_interval
+    sp._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
     add_common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
@@ -285,7 +289,7 @@ def run(argv: list[str]) -> int:
     try:
         ns = parser.parse_args(_merge_config(argv))
         return ns.func(ns)
-    except (DomainError, DegenerateInputError, DegenerateSampleError) as exc:
+    except (DomainError, DegenerateSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetError, BracketError, DiscretizationError) as exc:

@@ -9,10 +9,6 @@ class SingularityError(DomainError):
     """Evaluation requested exactly at a non-removable singularity."""
 
 
-class DegenerateInputError(ValueError):
-    """Input makes the quantity undefined (e.g. T(t) with Q(t) = 0)."""
-
-
 class NonEvenWeightError(ValueError):
     """Operation is implemented for even weights only."""
 

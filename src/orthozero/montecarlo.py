@@ -41,11 +41,6 @@ class CoeffDist:
             raise DomainError(f"unknown coefficient law {self.kind!r}")
 
 
-def parse_dist(text: str) -> CoeffDist:
-    """The law named `text`: one of gaussian, rademacher, uniform."""
-    return CoeffDist(text)
-
-
 def sample_coeffs(dist: CoeffDist, seed: int, trial: int, n: int) -> np.ndarray:
     """Draw c_0..c_n for one trial.
 

@@ -460,14 +460,14 @@ def universality_ratios(spec: WeightSpec, table: RecurrenceTable,
                         info: ScalingInfo, x: float) -> tuple[float, float, float]:
     """Convergence diagnostics of the weighted kernel against the
     equilibrium density, at x inside the 0.05-shrunk support window
-    info.j_interval(0.05) for degree n + 1 = info.n:
+    info.j_interval() for degree n + 1 = info.n:
 
         r00 = W^2 K / sigma            -> 1
         r01 = W^2 K^(0,1)/sigma^2 - Q'/sigma   -> 0
         r11 = W^2 K^(1,1)/sigma^3 - (Q'/sigma)^2 -> pi^2/3
     """
     n = info.n - 1
-    lo, hi = info.j_interval(0.05)
+    lo, hi = info.j_interval()
     if not lo <= x <= hi:
         raise DomainError(
             f"x = {x} outside the window [{lo:.6g}, {hi:.6g}]")

@@ -39,6 +39,8 @@ from .weights import WeightSpec
 _DD_GUARD = 1e-6
 # bytes that one row block of the divided-difference integrand may take
 _DD_BYTES = 64_000_000
+# relative shrink of the support at each end for the uniform kernel window
+_J_EPS = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,11 @@ class ScalingInfo:
     def interval(self) -> tuple[float, float]:
         return (-self.a_n, self.a_n)
 
-    def j_interval(self, eps: float) -> tuple[float, float]:
-        """The eps-shrunk window where the kernel asymptotics are uniform."""
-        if not 0 < eps < 1:
-            raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    def j_interval(self) -> tuple[float, float]:
+        """The support shrunk by _J_EPS a_n at each end, where the kernel
+        asymptotics are uniform."""
         lo, hi = self.interval()
-        return (lo + eps * self.a_n, hi - eps * self.a_n)
+        return (lo + _J_EPS * self.a_n, hi - _J_EPS * self.a_n)
 
     def rho(self, x):
         """Square-root edge factor sqrt((x + a_n)(a_n - x)) on the support."""
@@ -359,46 +360,6 @@ def ullman_density_alt(alpha: float, x: float, tol: float = 1e-8) -> float:
     val, _, _ = cheb_t_integral(lambda t: np.sum(g(t)), tol / pref, m0=64,
                                 m_cap=1 << 22)
     return pref * 0.5 * val
-
-
-def _half_mass(alpha: float, b: float, eps: float) -> float:
-    """mu_alpha([0, b]) for finite alpha, 0 <= b <= 1.
-
-    Fubini on the defining double integral gives
-        mu_alpha([0,b]) = b^alpha / 2
-                          + (alpha/pi) int_b^1 t^(alpha-1) arcsin(b/t) dt,
-    and the same t^2 = b^2 + (1-b^2)u^2 substitution makes the remaining
-    integrand vanish linearly at u = 0.
-    """
-    if b <= 0.0:
-        return 0.0
-    if b >= 1.0:
-        return 0.5
-    from scipy.integrate import quad  # lazy: costs ~0.3 s at import
-    b2 = b * b
-    om = 1.0 - b2
-
-    def h(u):
-        t2 = b2 + om * u * u
-        t = np.sqrt(t2)
-        return om * u * t2 ** ((alpha - 2.0) / 2.0) * np.arcsin(b / t)
-
-    val = quad(h, 0.0, 1.0, epsabs=eps, epsrel=0.0, limit=200)[0]
-    return 0.5 * b**alpha + alpha / math.pi * val
-
-
-def ullman_cdf(alpha: float, x: float, tol: float = 1e-10) -> float:
-    """Cumulative mass of the limit density on [-1, x]."""
-    if not alpha > 1:
-        raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if alpha == math.inf:
-        return (math.asin(x) + math.pi / 2.0) / math.pi
-    hm = _half_mass(alpha, abs(x), eps=tol)
-    return 0.5 + math.copysign(hm, x)
 
 
 def ullman_cdf_many(alpha: float, xs) -> np.ndarray:

@@ -70,6 +70,19 @@ def test_kac_scaled_interval():
     assert code == 2
 
 
+@pytest.mark.parametrize("exp_form,plain", [
+    (("-1e1", "1"), ("-10", "1")),
+    (("-1E-1", "1e-1"), ("-0.1", "0.1")),
+    (("-2.5e+0", "-1e-3"), ("-2.5", "-0.001")),
+])
+def test_kac_interval_ends_in_exponent_form(exp_form, plain):
+    # argparse reads a bare "-1e1" as an option unless kac says otherwise
+    base = ["kac", "--n", "5", "--interval"]
+    code, out = capture(base + list(exp_form))
+    assert code == 0
+    assert (code, out) == capture(base + list(plain))
+
+
 def test_kac_rejects_scaled_full_line_before_building_a_table(capsys):
     from orthozero import orthopoly
 
@@ -117,7 +130,8 @@ def _must_not_run(*args, **kwargs):
     ["kac", "--n", "10", "--interval", "1", "1"],
     *(["kac", "--n", "200", "--scaled", "--interval", lo, hi]
       for lo, hi in (("-0.5", "1.5"), ("nan", "0.5"))),
-    *(["simulate", "--n", "10", f"--trials={t}"] for t in ("1", "0"))])
+    *(["simulate", "--n", "10", f"--trials={t}"] for t in ("1", "0")),
+    ["kac", "--n", "10", "--interval", "-inf", "1"]])
 def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
     from orthozero import kac, orthopoly, scaling
 

@@ -46,7 +46,7 @@ def _table(n):
 def counts_digest(n, law):
     """sha256 of the counts of trials 0..999 at seed 0."""
     res = oz.mc_expected_zeros(oz.parse_weight("freud:0.5:2"), _table(n), n,
-                               1000, oz.parse_dist(law), seed=0)
+                               1000, oz.CoeffDist(law), seed=0)
     return hashlib.sha256(res.counts.tobytes()).hexdigest()
 
 
@@ -58,7 +58,7 @@ def zeros_digest(n, law):
     info = oz.solve_mrs(spec, n + 1)
     h = hashlib.sha256()
     for t in range(40):
-        s = oz.sample_coeffs(oz.parse_dist(law), 0, t, n)
+        s = oz.sample_coeffs(oz.CoeffDist(law), 0, t, n)
         z = oz.count_real_zeros(spec, table, s, info).zeros
         h.update(np.int64(z.size).tobytes())
         h.update(z.tobytes())

@@ -5,12 +5,13 @@ import pytest
 from scipy.special import roots_hermite
 
 import orthozero as oz
+from conftest import ullman_cdf
 from orthozero import montecarlo as mc
 from orthozero.errors import BudgetError, DegenerateSampleError, DomainError
 
 
 def test_sample_reproducibility():
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     a = oz.sample_coeffs(d, 7, 3, 50)
     b = oz.sample_coeffs(d, 7, 3, 50)
     assert np.array_equal(a, b)
@@ -49,16 +50,16 @@ def test_uniform_support():
     assert np.all((-1.0 < x) & (x < 1.0))
 
 
-def test_parse_dist():
-    assert oz.parse_dist("gaussian").kind == "gaussian"
-    assert oz.parse_dist("rademacher").kind == "rademacher"
+def test_coeff_dist_laws():
+    assert oz.CoeffDist("gaussian").kind == "gaussian"
+    assert oz.CoeffDist("rademacher").kind == "rademacher"
     for text in ("cauchy", "gaussian:0.5"):
         with pytest.raises(DomainError):
-            oz.parse_dist(text)
+            oz.CoeffDist(text)
 
 
 def test_linear_sample_one_zero(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info2 = oz.solve_mrs(hermite, 2)
     s = oz.sample_coeffs(d, 0, 0, 1)
     res = oz.count_real_zeros(hermite, hermite_table_60, s, info2)
@@ -85,7 +86,7 @@ def test_comrade_trace_identity(hermite_table_60):
     # coefficients; expand the basis polynomials at small degree to check
     n = 20
     tab = hermite_table_60
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     s = oz.sample_coeffs(d, 21, 0, n)
     z = oz.all_zeros(tab, s)
     polys = [np.polynomial.Polynomial([tab.gamma0]),
@@ -101,7 +102,7 @@ def test_comrade_trace_identity(hermite_table_60):
 
 
 def test_all_zeros_degree_reduction(hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     c = np.concatenate([oz.sample_coeffs(d, 3, 0, 8), [0.0, 0.0]])
     z = oz.all_zeros(hermite_table_60, c)
     assert z.size == 8
@@ -110,7 +111,7 @@ def test_all_zeros_degree_reduction(hermite_table_60):
 
 
 def test_zero_scale_invariance(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, 31)
     s = oz.sample_coeffs(d, 17, 0, 30)
     # binary scales propagate exactly through every float operation
@@ -130,7 +131,7 @@ def test_zero_scale_invariance(hermite, hermite_table_60):
 
 @pytest.mark.parametrize("n", [30, 50])
 def test_sign_count_matches_eigen_count(hermite, hermite_table_60, n):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, n + 1)
     info_n = oz.solve_mrs(hermite, n)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
@@ -150,7 +151,7 @@ def test_sign_count_matches_eigen_count(hermite, hermite_table_60, n):
 
 
 def test_empirical_measure_fields(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, 12)
     s = oz.sample_coeffs(d, 2, 0, 12)
     z = oz.all_zeros(hermite_table_60, s)
@@ -164,7 +165,7 @@ def test_empirical_measure_fields(hermite, hermite_table_60):
 
 
 def test_eigen_measures_match_per_trial(hermite, hermite_table_60):
-    d = oz.parse_dist("rademacher")
+    d = oz.CoeffDist("rademacher")
     info = oz.solve_mrs(hermite, 25)
     ms = oz.eigen_measures(hermite_table_60, info, d, 6, 4)
     assert len(ms) == 4
@@ -199,7 +200,7 @@ def test_pure_top_degree_measure_close_to_limit(freud12):
 
 def test_single_trial_concentration(freud12):
     tab = oz.get_table(freud12, 501)
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     s = oz.sample_coeffs(d, 5, 0, 500)
     z = oz.all_zeros(tab, s)
     info = oz.solve_mrs(freud12, 500)
@@ -223,7 +224,7 @@ def test_ks_quantile_construction():
 def _ullman_quantile(alpha, q, lo=-1.0, hi=1.0):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if oz.ullman_cdf(alpha, mid) < q:
+        if ullman_cdf(alpha, mid) < q:
             lo = mid
         else:
             hi = mid
@@ -238,7 +239,7 @@ def test_ks_degenerate_measure():
 
 
 def test_mc_two_trials_stderr(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     res = oz.mc_expected_zeros(hermite, hermite_table_60, 20, 2, d, seed=4)
     assert res.stderr == pytest.approx(abs(res.counts[0] - res.counts[1]) / 2.0)
     with pytest.raises(DomainError):
@@ -246,7 +247,7 @@ def test_mc_two_trials_stderr(hermite, hermite_table_60):
 
 
 def test_mc_reproducible_and_consistent(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     res1 = oz.mc_expected_zeros(hermite, hermite_table_60, 60, 200, d, seed=0)
     res2 = oz.mc_expected_zeros(hermite, hermite_table_60, 60, 200, d, seed=0)
     assert np.array_equal(res1.counts, res2.counts)
@@ -258,7 +259,7 @@ def test_mc_reproducible_and_consistent(hermite, hermite_table_60):
 
 
 def test_mc_batching_matches_per_trial(hermite, hermite_table_60):
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     res = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 25, d, seed=9)
     info = oz.solve_mrs(hermite, 41)
     singles = [oz.count_real_zeros(
@@ -269,7 +270,7 @@ def test_mc_batching_matches_per_trial(hermite, hermite_table_60):
 
 def test_mc_zero_locations_symmetric(hermite, hermite_table_60):
     # even weight: the mean zero location across trials sits at zero
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, 51)
     means = []
     for t in range(200):
@@ -297,9 +298,9 @@ def test_rademacher_partition_fractions(hermite):
     tab = oz.get_table(hermite, 201)
     edges = mc.partition_edges((-1.0, -0.5, 0.0, 0.5, 1.0))
     ms = oz.eigen_measures(tab, oz.solve_mrs(hermite, 200),
-                           oz.parse_dist("rademacher"), 0, 1000)
+                           oz.CoeffDist("rademacher"), 0, 1000)
     fractions = np.mean([m.shares(edges) for m in ms], axis=0)
-    masses = np.array([oz.ullman_cdf(2.0, b) - oz.ullman_cdf(2.0, a)
+    masses = np.array([ullman_cdf(2.0, b) - ullman_cdf(2.0, a)
                        for a, b in ((-1, -0.5), (-0.5, 0), (0, 0.5), (0.5, 1))])
     assert np.max(np.abs(fractions - masses)) <= 0.03
 
@@ -315,7 +316,7 @@ def test_grid_over_budget_raises(hermite, hermite_table_60, monkeypatch,
                                  budget):
     # a grid is whole or the count fails: over budget, neither the counter
     # nor the ensemble counts on a cut-short grid, and nothing is cached
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, 31)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     n_inner = int(np.sum(np.abs(grid) <= 1.03 * info.a_n))
@@ -344,7 +345,7 @@ def test_count_grid_reaches_pad(weight, n, mixed24):
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
     assert grid[-1] >= mc.CountConfig().pad * info.a_n
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     default = oz.mc_expected_zeros(spec, table, n, 3, d, seed=2)
     given = oz.mc_expected_zeros(spec, table, n, 3, d, seed=2, info=info)
     assert np.array_equal(default.counts, given.counts)
@@ -352,7 +353,7 @@ def test_count_grid_reaches_pad(weight, n, mixed24):
 
 def test_mc_degree_beyond_table(freud14):
     tab = oz.build_recurrence(freud14, 40)
-    d = oz.parse_dist("gaussian")
+    d = oz.CoeffDist("gaussian")
     with pytest.raises(DomainError):
         oz.mc_expected_zeros(freud14, tab, 41, 2, d, seed=0)
     s = oz.sample_coeffs(d, 0, 0, 41)

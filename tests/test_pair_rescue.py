@@ -38,7 +38,7 @@ def _setup(n, trials, law):
     table = oz.build_recurrence(spec, n + 1)
     info = oz.solve_mrs(spec, n + 1)
     grid = oz.make_count_grid(spec, info, table)
-    C = np.stack([oz.sample_coeffs(oz.parse_dist(law), 0, t, n)
+    C = np.stack([oz.sample_coeffs(oz.CoeffDist(law), 0, t, n)
                   for t in range(trials)])
     return table, info, grid, C
 
@@ -205,7 +205,7 @@ def test_row_split_keeps_results():
     table = oz.build_recurrence(spec, 61)
     info = oz.solve_mrs(spec, 61)
     grid = oz.make_count_grid(spec, info, table)
-    C = np.stack([oz.sample_coeffs(oz.parse_dist("rademacher"), 0, t, 60)
+    C = np.stack([oz.sample_coeffs(oz.CoeffDist("rademacher"), 0, t, 60)
                   for t in range(40)])
     counts, whole = mc._brackets(table, C, grid, 60, info.a_n)
     # a row's brackets do not depend on the rows that share its block

@@ -60,7 +60,7 @@ def test_count_invariant_under_binary_scale(hermite, hermite_table_60, trial,
                                             k, sign):
     # a power of two and a sign pass exactly through every float operation
     info = oz.solve_mrs(hermite, 31)
-    c = oz.sample_coeffs(oz.parse_dist("gaussian"), 3, trial, 30)
+    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 3, trial, 30)
     base = oz.count_real_zeros(hermite, hermite_table_60, c, info)
     scaled = oz.count_real_zeros(hermite, hermite_table_60,
                                  sign * math.ldexp(1.0, k) * c, info)
