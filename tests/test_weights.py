@@ -64,9 +64,20 @@ def test_freud_family_derivatives(c, lam):
     assert np.array_equal(w.q(-g), w.q(g))
     assert np.array_equal(w.q1(-g), -w.q1(g))
     assert min(T(w, t) for t in g) == pytest.approx(lam, rel=1e-10)
+
+
+@pytest.mark.parametrize("c,lam", [(0.5, 1.5), (2.0, 3.0), (1.0, 6.0)])
+def test_freud_growth_constant(c, lam):
     # Q'' Q / Q'^2 = (lam - 1)/lam exactly for Q = c|x|^lam
+    w = oz.make_freud(c, lam)
+    g = np.geomspace(0.01, 100, 50)
     assert np.allclose(w.q2(g) * w.q(g) / w.q1(g) ** 2, (lam - 1.0) / lam,
                        rtol=1e-10, atol=0)
+
+
+def test_mixed24_T_at_one(mixed24):
+    # (2 + 4) / (1 + 1) by direct evaluation of the quotient
+    assert T(mixed24, 1.0) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_mixed24_fixture_derivatives(mixed24):
@@ -74,8 +85,7 @@ def test_mixed24_fixture_derivatives(mixed24):
     g = np.geomspace(0.05, 50, 60)
     for f, df in ((mixed24.q, mixed24.q1), (mixed24.q1, mixed24.q2)):
         assert np.allclose(central_difference(f, g), df(g), rtol=1e-6, atol=0)
-    # T = (2 + 4) / (1 + 1) at t = 1, rising from 2 toward 4
-    assert T(mixed24, 1.0) == pytest.approx(3.0, rel=1e-14)
+    # T rises from 2 toward 4, so it is genuinely increasing
     Ts = [T(mixed24, t) for t in g]
     assert all(b >= a for a, b in zip(Ts, Ts[1:]))
     assert Ts[0] > 1.0
