@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DegenerateSampleError, DomainError
-from .orthopoly import RecurrenceTable, combo_values, poly_matrix
-from .scaling import (
-    ScalingInfo,
-    equilibrium_density_many,
-    solve_mrs,
-    ullman_cdf_many,
+from .kac import kac_density
+from .orthopoly import (
+    RecurrenceTable,
+    combo_values,
+    kernel_triple_many,
+    poly_matrix,
 )
+from .scaling import ScalingInfo, solve_mrs, ullman_cdf_many
 from .weights import WeightSpec
 
 _DISTS = ("gaussian", "rademacher", "uniform")
@@ -76,12 +77,14 @@ class CountResult:
     zeros: np.ndarray
 
 
-# The grid step inside the support is _GRID_FACTOR / sigma_{n+1}(x) (the
-# expected local zero spacing is ~ sqrt(3)/sigma) and spans |x| <= _EDGE a_n;
-# outside, the grid grows by _GEO_RATIO per step until the Cauchy-type far
-# tail of the zero density, ~ 2 b_n/(pi x), drops below _TAIL_MASS expected
-# zeros.  Zeros are bisected to width _BISECT_REL * a_n.  A grid of more
-# than _MAX_GRID points raises BudgetError: it is never cut short.
+# The grid step on |x| <= _EDGE a_n is _GRID_FACTOR / sigma(x), with
+# sigma = sqrt(3) rho the table's own Kac zero density (the expected local
+# zero spacing is ~ sqrt(3)/sigma = 1/rho).  Past _EDGE a_n the same walk
+# grows its step by _GEO_RATIO per point and ends at the first
+# _EDGE a_n _GEO_RATIO^k beyond where the Cauchy-type far tail of the zero
+# density, ~ 2 b_n/(pi x), drops below _TAIL_MASS expected zeros.  Zeros
+# are bisected to width _BISECT_REL * a_n.  A grid of more than _MAX_GRID
+# points raises BudgetError: it is never cut short.
 _GRID_FACTOR = 0.1
 _EDGE = 1.02
 _TAIL_MASS = 0.02
@@ -95,54 +98,51 @@ _GRID_CACHE: dict[tuple, np.ndarray] = {}
 def make_count_grid(spec: WeightSpec, info: ScalingInfo,
                     table: RecurrenceTable) -> np.ndarray:
     """Evaluation grid for counting zeros of degree info.n - 1 polynomials,
-    read-only and cached on the weight content (spec.cache_key, as
-    get_table keys it), info and the table's b_n.
+    read-only and cached on what it reads: the table, named as get_table
+    names it (spec.cache_key and table.n_max), and info.
 
-    info must be the scaling data for n + 1 (the density that sets the local
-    zero spacing).  Near the support edge the step is floored at the
-    edge-scaling scale a n^(-2/3), where zero spacings stop shrinking; the
-    capped-step region runs a little past the edge before the geometric
-    tail takes over.  Raises BudgetError when the whole grid would exceed
-    _MAX_GRID points."""
-    bn = table.b(info.n - 1)
-    key = (spec.cache_key, info, bn)
+    info must be the scaling data for n + 1.  The grid is one walk from 0,
+    mirrored about the origin (the zero density is even).  Near the support
+    edge the step is floored at the edge-scaling scale a n^(-2/3), where
+    zero spacings stop shrinking; past _EDGE a_n the step grows
+    geometrically from the last inner step.  Raises BudgetError when the
+    whole grid would exceed _MAX_GRID points."""
+    key = (spec.cache_key, table.n_max, info)
     grid = _GRID_CACHE.get(key)
     if grid is None:
-        grid = _build_grid(spec, info, bn)
+        grid = _build_grid(table, info)
         grid.flags.writeable = False
         _GRID_CACHE[key] = grid
     return grid
 
 
-def _build_grid(spec: WeightSpec, info: ScalingInfo, bn: float) -> np.ndarray:
-    a = info.a_n
-    npl = info.n
+def _build_grid(table: RecurrenceTable, info: ScalingInfo) -> np.ndarray:
+    a, npl = info.a_n, info.n
     edge = _EDGE * a
-    reach = max(CountConfig.pad * a, 4.0 * bn / (math.pi * _TAIL_MASS))
-    tail = [edge]
-    while tail[-1] < reach:
-        tail.append(tail[-1] * _GEO_RATIO)
-    tail = np.array(tail[1:])
-    # the inner walk may use what the two tails leave of the budget
-    room = _MAX_GRID - 2 * tail.size
-    # density profile on a fixed fine grid, then linear interpolation
-    s_grid = np.linspace(-1.0, 1.0, 2001)[1:-1]
-    sig_star = (a / npl) * equilibrium_density_many(
-        spec, info, a * s_grid, tol=1e-6 * npl)
+    reach = max(CountConfig.pad * a,
+                4.0 * table.b(npl - 1) / (math.pi * _TAIL_MASS))
+    end = edge
+    while end < reach:
+        end *= _GEO_RATIO
+    # density profile on a fixed fine grid of [0, a), then linear
+    # interpolation (held at its last value beyond it)
+    x_prof = a * np.linspace(0.0, 1.0, 1001)[:-1]
+    sig = math.sqrt(3.0) * kac_density(
+        *kernel_triple_many(table, x_prof, npl - 1)[:3])
     floor = npl ** (2.0 / 3.0) / (2.0 * a)
-
-    def sigma_at(x):
-        s = min(max(x / a, -1.0 + 1e-9), 1.0 - 1e-9)
-        return max(float(np.interp(s, s_grid, sig_star)) * npl / a, floor)
-
-    pts = [-edge]
-    x = -edge
-    while x < edge:
-        x += _GRID_FACTOR / sigma_at(x)
-        pts.append(min(x, edge))
-        if len(pts) > room:
+    pts = [0.0]
+    x = step = 0.0
+    while x < end:
+        if x < edge:
+            step = _GRID_FACTOR / max(float(np.interp(x, x_prof, sig)), floor)
+        else:
+            step *= _GEO_RATIO
+        x = min(x + step, end)
+        pts.append(x)
+        if 2 * len(pts) - 1 > _MAX_GRID:
             raise BudgetError(f"counting grid exceeded {_MAX_GRID} points")
-    return np.concatenate([-tail[::-1], np.array(pts), tail])
+    half = np.array(pts)
+    return np.concatenate([-half[:0:-1], half])
 
 
 _SUBDIV_DEPTH = 3

@@ -150,6 +150,49 @@ def test_sign_count_matches_eigen_count(hermite, hermite_table_60, n):
     assert worst <= 1
 
 
+def _real_inside(table, s, grid, a_n):
+    """Real eigenvalues of the comrade matrix (|Im| <= 1e-8 a_n) that lie
+    on the counting grid's span."""
+    z = oz.all_zeros(table, s)
+    r = z.real[np.abs(z.imag) <= 1e-8 * a_n]
+    return int(np.sum((r >= grid[0]) & (r <= grid[-1])))
+
+
+# seed-0 trials whose zero pair hid in a grid cell past the edge, where
+# neither p nor p' changes sign between the ends, when the tail grid
+# restarted from 1.02 a_n in cells 0.12 a_n wide
+@pytest.mark.parametrize("weight,n,law,trial", [
+    *(("freud:0.5:2", 200, "gaussian", t) for t in (64, 92, 354, 359)),
+    ("freud:0.5:2", 200, "rademacher", 457),
+    ("freud:1:4", 500, "rademacher", 36)])
+def test_tail_cell_pair_is_counted(weight, n, law, trial):
+    spec = oz.parse_weight(weight)
+    table = oz.get_table(spec, n + 1)
+    info = oz.solve_mrs(spec, n + 1)
+    s = oz.sample_coeffs(oz.CoeffDist(law), 0, trial, n)
+    grid = oz.make_count_grid(spec, info, table)
+    assert (oz.count_real_zeros(spec, table, s, info).count
+            == _real_inside(table, s, grid, info.a_n))
+
+
+def test_counts_below_freud_exponent_two():
+    # lam = 1.5: the grid needs only the table, so counting works for every
+    # Freud exponent the weights admit
+    spec, n, trials = oz.parse_weight("freud:1:1.5"), 90, 300
+    table = oz.get_table(spec, n + 1)
+    info = oz.solve_mrs(spec, n + 1)
+    grid = oz.make_count_grid(spec, info, table)
+    for law in ("gaussian", "rademacher"):
+        d = oz.CoeffDist(law)
+        res = oz.mc_expected_zeros(spec, table, n, trials, d, seed=0)
+        eig = [_real_inside(table, oz.sample_coeffs(d, 0, t, n), grid,
+                            info.a_n) for t in range(trials)]
+        assert np.array_equal(res.counts, eig)
+        if law == "gaussian":
+            kac = oz.expected_zeros_full(table, n).expected_count
+            assert abs(res.mean - kac) <= 3.0 * res.stderr
+
+
 def test_empirical_measure_fields(hermite, hermite_table_60):
     d = oz.CoeffDist("gaussian")
     info = oz.solve_mrs(hermite, 12)
@@ -363,8 +406,8 @@ def test_mc_degree_beyond_table(freud14):
 
 
 def test_count_grid_cache(hermite, hermite_table_60):
-    # one grid per weight content, scaling data and table b_n,
-    # built once and shared read-only
+    # one grid per table (named by weight content and n_max, as get_table
+    # names it) and scaling data, built once and shared read-only
     info = oz.solve_mrs(hermite, 41)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     assert oz.make_count_grid(oz.parse_weight("freud:0.5:2"),
@@ -373,13 +416,16 @@ def test_count_grid_cache(hermite, hermite_table_60):
     assert not grid.flags.writeable
     with pytest.raises(ValueError):
         grid[0] = 0.0
-    # custom weights key on their Q, never on the shared label
+    # custom weights key on their Q, never on the shared label; each grid
+    # is stepped by its own weight's table
     w1, w2 = (oz.make_custom(q=lambda x, c=c: c * x**2,
                              q1=lambda x, c=c: 2.0 * c * x,
                              q2=lambda x, c=c: 2.0 * c + 0.0 * x,
                              even=True, alpha=2.0, label="w")
               for c in (0.5, 2.0))
-    g1 = oz.make_count_grid(w1, info, hermite_table_60)
-    g2 = oz.make_count_grid(w2, info, hermite_table_60)
-    assert g2.size > g1.size  # four times the density, a finer step
-    assert oz.make_count_grid(w1, info, hermite_table_60) is g1
+    t1, t2 = oz.get_table(w1, 60), oz.get_table(w2, 60)
+    g1 = oz.make_count_grid(w1, info, t1)
+    g2 = oz.make_count_grid(w2, info, t2)
+    assert g2.size > g1.size  # four times Q, twice the zero density
+    assert not (g1.flags.writeable or g2.flags.writeable)
+    assert oz.make_count_grid(w1, info, t1) is g1
