@@ -4,8 +4,9 @@ scaled-zero measures with a Kolmogorov-Smirnov statistic against the limit
 distribution.
 
 Reproducibility contract: sample_coeffs(dist, seed, trial, n) is a pure
-function of its arguments through a counter-derived generator, so results
-are independent of scheduling and batch layout.
+function of its arguments through a counter-derived generator, so the draws
+do not depend on scheduling or batch layout.  A row's grid values may differ
+in the last bits with the rows that share its block; its counts do not.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import BudgetError, DegenerateSampleError, DomainError
 from .kac import kac_density
 from .orthopoly import (
+    _BASIS_BYTES,
     RecurrenceTable,
     combo_values,
     kernel_triple_many,
@@ -149,10 +151,12 @@ _SUBDIV_DEPTH = 3
 _SUBDIV_FAN = 6
 # an inner derivative-only cell, of the grid or of a subdivision fan, is
 # declared zero-free when the cubic Hermite interpolant of its end values and
-# slopes stays above this fraction of the larger end value; the dense-scan
-# audits (tests/test_pair_rescue.py) find the interpolant's relative error on
-# the cells it clears below a third of it, on grids stepped at
-# _GRID_FACTOR / sigma and on the fan sub-cells of depths 1 and 2.
+# slopes stays above this fraction of the larger end value.  On the grid
+# cells it clears, the interpolant's error relative to that value stays below
+# a third of the margin in the dense-scan audits (tests/test_pair_rescue.py,
+# 30 trials per law at n = 200) but reaches 0.157 (gaussian) and 0.204
+# (rademacher), under half of it, over 1000 trials per law at n = 200; on the
+# fan sub-cells of depths 1 and 2 it stays below 6e-4.
 _EXCLUDE_MARGIN = 0.5
 
 
@@ -174,6 +178,14 @@ def _hermite_min(f0, f1, m0, m1):
     return low
 
 
+def _flips(V: np.ndarray) -> np.ndarray:
+    """Boolean mask, one column shorter than V, of the cells of each row
+    whose two ends have opposite signs; a zero or NaN end makes no flip."""
+    neg = np.signbit(V)
+    live = (V != 0) & ~np.isnan(V)
+    return (neg[:, :-1] != neg[:, 1:]) & live[:, :-1] & live[:, 1:]
+
+
 def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
                   xs: np.ndarray, pf: np.ndarray, a_n: float):
     """Rows and cells that may hide a pair of zeros: a derivative flip and
@@ -186,8 +198,7 @@ def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
     edge = _EDGE * a_n
     xs = np.broadcast_to(xs, V.shape)
     expo = np.broadcast_to(expo, V.shape)
-    Sd = np.sign(Vd)
-    t, c = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
+    t, c = np.nonzero(_flips(Vd) & ~pf)
     x0, x1 = xs[t, c], xs[t, c + 1]
     inner = (np.abs(x0) <= edge) & (np.abs(x1) <= edge)
     t_in, c_in = t[inner], c[inner]
@@ -212,23 +223,28 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
               n: int, a_n: float):
     """Zero counts and brackets for a block of coefficient rows.
 
-    Level 0 is the grid, evaluated as C @ P; sign changes of the
-    combination there give the base brackets.  A hidden pair of zeros
-    inside a cell forces (Rolle) a sign change of the derivative there;
-    such cells, less those the Hermite exclusion test clears (see
-    _rescue_cells), are split into a fan of _SUBDIV_FAN sub-cells, and the
-    fan points of all of them are the next level, evaluated in one sweep.
-    Every level adds its sign changes as brackets and picks its cells to
-    split by the same rule, down to _SUBDIV_DEPTH levels below the grid; a
-    cell it drops, or any cell of the last level, is declared zero-free.
+    Level 0 is the grid, evaluated as C @ P in grid-column blocks that keep
+    P and D under _BASIS_BYTES; sign changes there give the base brackets.
+    A hidden pair of zeros inside a cell forces (Rolle) a sign change of the
+    derivative there; such cells, less those the Hermite exclusion test
+    clears (see _rescue_cells), are split into a fan of _SUBDIV_FAN
+    sub-cells, and the fan points of all of them are the next level,
+    evaluated in one sweep.  Every level adds its sign changes as brackets
+    and picks its cells to split by the same rule, down to _SUBDIV_DEPTH
+    levels below the grid; a cell it drops, or any cell of the last level,
+    is declared zero-free.
 
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
     sign change; a count also includes grid points where a value vanishes.
     """
-    P, D, expo = poly_matrix(table, grid, n, derivs=True)
-    V, Vd, xs = C @ P, C @ D, grid
-    S = np.sign(V)
-    on_grid = np.sum(S == 0, axis=1)
+    V, Vd = np.empty((2, C.shape[0], grid.size))
+    expo = np.empty(grid.size, dtype=np.int64)
+    step = max(1, _BASIS_BYTES // (8 * (n + 1)))
+    for blk in (slice(g, g + step) for g in range(0, grid.size, step)):
+        P, D, expo[blk] = poly_matrix(table, grid[blk], n, derivs=True)
+        np.matmul(C, P, out=V[:, blk])
+        np.matmul(C, D, out=Vd[:, blk])
+    on_grid, xs = np.count_nonzero(V == 0, axis=1), grid
     rows = np.arange(C.shape[0])  # coefficient row of each row of V
     frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
     found = []
@@ -236,11 +252,10 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         if level:
             xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
             V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
-            S = np.sign(V)
-        pf = (S[:, :-1] * S[:, 1:]) < 0
+        pf = _flips(V)
         i, j = np.nonzero(pf)
         xb = np.broadcast_to(xs, V.shape)
-        found.append((rows[i], xb[i, j], xb[i, j + 1], S[i, j]))
+        found.append((rows[i], xb[i, j], xb[i, j + 1], np.sign(V[i, j])))
         if level == _SUBDIV_DEPTH:
             break
         i, j = _rescue_cells(V, Vd, expo, xs, pf, a_n)

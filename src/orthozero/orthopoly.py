@@ -57,6 +57,9 @@ _TRIG = 2.0**250
 _RESCALE = 2.0**-256
 _SCALE_LOG2 = 256
 _MAX = np.maximum.reduce  # ndarray.max without its Python wrapper
+# bytes one block of a float64 basis matrix may take: the Gram audit and the
+# zero counter's grid level evaluate their points in blocks of this size
+_BASIS_BYTES = 4_000_000
 
 TABLE_FORMAT_VERSION = 2
 
@@ -223,17 +226,21 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
                    n_target: int) -> float:
     """Largest Gram defect over i, j <= min(n_max, 256) on an independent
     mesh (other order, grading, panel count); p_j has parity (-1)^j, so each
-    parity block runs on the mesh's positive half with doubled weights."""
+    parity block runs on the mesh's positive half with doubled weights, in
+    blocks of points under _BASIS_BYTES."""
     n_check = min(table.n_max, 256)
     nodes, wts = _mesh(R, int(1.37 * n_target) | 1, order=31,
                        grade_ratio=0.4, grade_levels=24)
     x = nodes.astype(float)
-    T, _, expo = poly_matrix(table, x, n_check)
-    qx = np.asarray(spec.q(x), dtype=float)
-    scale = np.exp(expo * math.log(2.0) - qx)  # p_j W = mantissa * scale
-    T *= scale * np.sqrt(2.0 * np.maximum(wts.astype(float), 0.0))
-    return max(float(np.max(np.abs(Tp @ Tp.T - np.eye(Tp.shape[0]))))
-               for Tp in (T[0::2], T[1::2]))
+    w = np.sqrt(2.0 * np.maximum(wts.astype(float), 0.0))
+    step = max(1, _BASIS_BYTES // (8 * (n_check + 1)))
+    gram = [0.0, 0.0]  # even and odd degrees
+    for i in range(0, x.size, step):
+        T, _, expo = poly_matrix(table, x[i:i + step], n_check)
+        qx = np.asarray(spec.q(x[i:i + step]), dtype=float)
+        T *= np.exp(expo * math.log(2.0) - qx) * w[i:i + step]  # p_j W
+        gram = [g + Tp @ Tp.T for g, Tp in zip(gram, (T[0::2], T[1::2]))]
+    return max(float(np.max(np.abs(g - np.eye(g.shape[0])))) for g in gram)
 
 
 def build_recurrence(spec: WeightSpec, n_max: int) -> RecurrenceTable:
@@ -432,9 +439,12 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
     PD = np.empty((2 if derivs else 1, n + 1, x.size))
     for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, derivs)):
         if factor is not None:
-            # k stored rows: scale only the columns hit, not all of them
-            hit = np.flatnonzero(factor != 1.0)
-            PD[:, :k, hit] *= _RESCALE
+            # k stored rows, scaled in place one run of adjacent columns hit
+            # at a time (a fancy index would copy k x hits)
+            hit = np.concatenate(([False], factor != 1.0, [False]))
+            ends = np.flatnonzero(hit[1:] != hit[:-1]).tolist()
+            for lo, hi in zip(ends[0::2], ends[1::2]):
+                PD[:, :k, lo:hi] *= _RESCALE
         PD[:, k] = pd
     return PD[0], (PD[1] if derivs else None), expo
 

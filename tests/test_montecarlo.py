@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,60 @@ def test_tail_cell_pair_is_counted(weight, n, law, trial):
     grid = oz.make_count_grid(spec, info, table)
     assert (oz.count_real_zeros(spec, table, s, info).count
             == _real_inside(table, s, grid, info.a_n))
+
+
+def test_flip_masks_on_crafted_values():
+    nan = np.nan
+    V = np.array([[1.0, -1.0, 0.0, -1.0, -0.0, 2.0, nan, -3.0, 4.0],
+                  [-nan, 1.0, -np.inf, np.inf, -nan, -2.0, 2.0, -0.0, -1.0]])
+    # a zero end (either sign) or a NaN end (either sign) makes no flip
+    want = [[1, 0, 0, 0, 0, 0, 0, 1],
+            [0, 1, 1, 0, 0, 1, 0, 0]]
+    assert np.array_equal(mc._flips(V), np.array(want, dtype=bool))
+
+
+def test_flip_masks_match_sign_products():
+    rng = np.random.default_rng(11)
+    V = rng.standard_normal((40, 500))
+    for value, share in ((0.0, 0.05), (-0.0, 0.02), (np.nan, 0.02),
+                         (-np.nan, 0.02)):
+        V[rng.random(V.shape) < share] = value
+    S = np.sign(V)
+    assert np.array_equal(mc._flips(V), S[:, :-1] * S[:, 1:] < 0)
+    assert np.array_equal(mc._flips(V.T.copy()),
+                          S.T[:, :-1] * S.T[:, 1:] < 0)
+
+
+def test_exact_grid_zero_counted_once(hermite, hermite_table_60):
+    # p_1 and p_3 vanish exactly at the grid point 0 (odd parity); p_3
+    # also changes sign at the Hermite zeros -+sqrt(3/2)
+    info = oz.solve_mrs(hermite, 4)
+    grid = oz.make_count_grid(hermite, info, hermite_table_60)
+    C = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+    counts, (rows, lo, hi, _) = mc._brackets(hermite_table_60, C, grid, 3,
+                                             info.a_n)
+    assert 0.0 in grid
+    assert counts.tolist() == [3, 1]
+    assert rows.tolist() == [0, 0]
+    z = np.array([-1.0, 1.0]) * math.sqrt(1.5)
+    lo, hi = np.sort(lo), np.sort(hi)
+    assert np.all((lo < z) & (z < hi))
+
+
+def test_count_memory_bounded(hermite, hermite_table_1001):
+    # evaluated whole, the grid level at n = 1000 held P and D, 1001
+    # degrees at 10,167 points, and the call peaked at 164 MB; in blocks of
+    # grid columns it peaks near 16 MB
+    info = oz.solve_mrs(hermite, 1001)
+    s = oz.sample_coeffs(oz.CoeffDist("gaussian"), 0, 0, 1000)
+    tracemalloc.start()
+    try:
+        res = oz.count_real_zeros(hermite, hermite_table_1001, s, info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.count == res.zeros.size > 0
+    assert peak <= 40e6
 
 
 def test_counts_below_freud_exponent_two():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,30 @@ def test_parity_split_audit_matches_full_mesh(hermite_table_60, hermite,
             == tab.ortho_residual
         full = _full_mesh_gram_residual(spec, tab, R, n_target)
         assert abs(tab.ortho_residual - full) <= 1e-15
+
+
+def test_audit_blocks_keep_the_residual(hermite_table_60, hermite,
+                                        monkeypatch):
+    # the n_max 60 audit is one block; 64 KB blocks split it into 18, whose
+    # summed Gram products may differ from the whole one in the last bits
+    R, n_target = _audit_mesh(hermite, hermite_table_60)
+    monkeypatch.setattr(orthopoly, "_BASIS_BYTES", 1 << 16)
+    blocked = orthopoly._gram_residual(hermite, hermite_table_60, R, n_target)
+    assert abs(blocked - hermite_table_60.ortho_residual) <= 1e-15
+
+
+def test_build_memory_bounded(freud14):
+    # the audit's basis matrix, 257 degrees at 11,718 half-mesh points, took
+    # 24 MB whole; in blocks of _BASIS_BYTES the build peaks near 10 MB
+    oz.build_recurrence(freud14, 21)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        tab = oz.build_recurrence(freud14, 501)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.ortho_residual <= 1e-8
+    assert peak <= 16e6
 
 
 def test_parity_split_audit_catches_defect_in_each_block(hermite_table_60,

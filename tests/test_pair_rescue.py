@@ -218,6 +218,33 @@ def test_row_split_keeps_results():
                    for a, b in zip(_sorted(one)[1:], whole[1:]))
 
 
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+def test_counts_independent_of_block_layout(law):
+    # the grid values of a row in a 300-row block differ from its one-row
+    # values in the last bits (BLAS blocks C @ P by shape); counts do not
+    n = 200
+    table, info, grid, C = _setup(n, 300, law)
+    counts, _ = mc._brackets(table, C, grid, n, info.a_n)
+    singles = [mc._brackets(table, C[t:t + 1], grid, n, info.a_n)[0][0]
+               for t in range(50)]
+    assert np.array_equal(counts[:50], singles)
+
+
+def test_grid_column_blocks_keep_brackets(monkeypatch):
+    # at n = 300 the grid level runs in two blocks of grid columns; as one
+    # block it gives the same counts and brackets
+    n = 300
+    table, info, grid, C = _setup(n, 40, "rademacher")
+    step = mc._BASIS_BYTES // (8 * (n + 1))
+    assert step < grid.size <= 2 * step
+    counts, blocked = mc._brackets(table, C, grid, n, info.a_n)
+    monkeypatch.setattr(mc, "_BASIS_BYTES", 8 * (n + 1) * grid.size)
+    one_counts, whole = mc._brackets(table, C, grid, n, info.a_n)
+    assert np.array_equal(counts, one_counts)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_sorted(blocked), _sorted(whole)))
+
+
 def test_one_rescue_pass_per_level(monkeypatch):
     # about 1,350 grid cells need rescue here: more than the 710 that an
     # 8 MB block of coefficients repeated per fan point would hold at
