@@ -234,10 +234,13 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
     x = nodes.astype(float)
     w = np.sqrt(2.0 * np.maximum(wts.astype(float), 0.0))
     step = max(1, _BASIS_BYTES // (8 * (n_check + 1)))
+    buf = np.empty((n_check + 1) * min(step, x.size))  # one block, reused
     gram = [0.0, 0.0]  # even and odd degrees
     for i in range(0, x.size, step):
-        T, _, expo = poly_matrix(table, x[i:i + step], n_check)
-        qx = np.asarray(spec.q(x[i:i + step]), dtype=float)
+        xb = x[i:i + step]
+        T, _, expo = _basis_into(table, xb, n_check, buf[
+            :(n_check + 1) * xb.size].reshape(1, n_check + 1, xb.size))
+        qx = np.asarray(spec.q(xb), dtype=float)
         T *= np.exp(expo * math.log(2.0) - qx) * w[i:i + step]  # p_j W
         gram = [g + Tp @ Tp.T for g, Tp in zip(gram, (T[0::2], T[1::2]))]
     return max(float(np.max(np.abs(g - np.eye(g.shape[0])))) for g in gram)
@@ -284,9 +287,8 @@ def build_recurrence(spec: WeightSpec, n_max: int) -> RecurrenceTable:
             f"recurrence coefficients did not stabilize within {_MAX_NODES} nodes")
 
     off = off_ld.astype(float)
-    log_leading = np.concatenate([[math.log(float(gamma0_ld))],
-                                  (np.log(gamma0_ld) - np.cumsum(
-                                      np.log(off_ld))).astype(float)])
+    log_leading = (np.log(gamma0_ld) - np.concatenate(
+        [[0], np.cumsum(np.log(off_ld))])).astype(float)
 
     table = RecurrenceTable(
         label=spec.label, n_max=n_max, off_diag=off, log_leading=log_leading,
@@ -436,8 +438,13 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
     the true polynomial's; the exponents compare magnitudes across points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    PD = np.empty((2 if derivs else 1, n + 1, x.size))
-    for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, derivs)):
+    return _basis_into(table, x, n, np.empty((2 if derivs else 1, n + 1, x.size)))
+
+
+def _basis_into(table: RecurrenceTable, x: np.ndarray, n: int, PD: np.ndarray):
+    """poly_matrix into the caller's buffer PD, shaped (2, n + 1, x.size)
+    for derivatives too and (1, n + 1, x.size) for values only."""
+    for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, len(PD) == 2)):
         if factor is not None:
             # k stored rows, scaled in place one run of adjacent columns hit
             # at a time (a fancy index would copy k x hits)
@@ -446,7 +453,7 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
             for lo, hi in zip(ends[0::2], ends[1::2]):
                 PD[:, :k, lo:hi] *= _RESCALE
         PD[:, k] = pd
-    return PD[0], (PD[1] if derivs else None), expo
+    return PD[0], (PD[1] if len(PD) == 2 else None), expo
 
 
 def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import (
     BracketError,
@@ -255,6 +254,7 @@ def freud_constants(alpha: float) -> tuple[float, float]:
     """
     if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    from scipy.special import gamma as gamma_fn, roots_jacobi  # lazy: ~0.3 s
 
     def endpoint_integral(beta: float) -> float:
         # int_0^1 t^(beta-1) (1-t)^(-1/2) (1+t)^(-1/2) dt via t = (1+y)/2

@@ -21,11 +21,16 @@ def test_hermite_recurrence_oracle(hermite_table_60):
 
 def test_hermite_oracle_whole_big_table(hermite_table_1001):
     # every b_k of the largest table the package builds, not only b_1..b_60;
-    # k/2 is exact in binary, so np.sqrt gives the correctly rounded sqrt(k/2)
+    # k/2 is exact in binary, so np.sqrt gives the correctly rounded sqrt(k/2).
+    # 998 of the 1001 are exactly rounded and the other three one ulp off
     tab = hermite_table_1001
     exact = np.sqrt(np.arange(1, 1002) / 2.0)
-    assert np.max(np.abs(tab.off_diag / exact - 1.0)) <= 4.5e-16
-    assert np.count_nonzero(tab.off_diag == exact) >= 893
+    assert np.all(np.abs(tab.off_diag - exact) <= np.spacing(exact))
+    assert np.count_nonzero(tab.off_diag == exact) >= 995
+    # ln gamma_0 = -ln(pi)/4, rounded once from extended precision
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert tab.log_leading[0] == float(-mpmath.log(mpmath.pi) / 4)
 
 
 def test_quartic_freud_equation_oracle(freud14):
@@ -341,9 +346,13 @@ def test_get_table_bits_independent_of_cache_order(hermite, monkeypatch):
         assert np.array_equal(first.off_diag, second.off_diag)
         assert np.array_equal(first.log_leading, second.log_leading)
         assert first.ortho_residual == second.ortho_residual
-    # and the two sizes are different builds, not one table sliced
-    small, big = runs[0][10], runs[0][60]
-    assert not np.array_equal(small.off_diag, big.off_diag[:10])
+        assert first.mesh_signature == second.mesh_signature
+    # and in both orders the two sizes are different builds, not one table
+    # sliced: each size has its own mesh (Hermite b_k are exactly rounded at
+    # both sizes, so their bits cannot tell a slice apart)
+    for run in runs:
+        assert run[10].mesh_signature != run[60].mesh_signature
+    big = runs[0][60]
     # a separately parsed spec of the same weight hits the same entry
     assert oz.get_table(oz.parse_weight("freud:0.5:2"), 60) is runs[1][60]
     # shared tables are read-only

@@ -1,9 +1,120 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from orthozero.errors import BudgetError, DomainError
+from orthozero import quadrature
+from orthozero.errors import BudgetError, DiscretizationError, DomainError
 from orthozero.quadrature import adaptive_gl, cheb_t_integral, gl_rule
+
+
+def _ulps(got, want):
+    """|got - want| in units of the float64 spacing at want (0 where both
+    are 0)."""
+    want = np.asarray(want, dtype=float)
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def _closed_form_rule(order):
+    """Gauss-Legendre nodes and weights of orders 1-4 from their radicals,
+    at 40 digits, rounded once."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.sqrt
+        inner = s(mpmath.mpf(3) / 7 - mpmath.mpf(2) / 7 * s(mpmath.mpf(6) / 5))
+        outer = s(mpmath.mpf(3) / 7 + mpmath.mpf(2) / 7 * s(mpmath.mpf(6) / 5))
+        w_in, w_out = (18 + s(30)) / 36, (18 - s(30)) / 36
+        x, w = {1: ([0], [2]),
+                2: ([-1 / s(3), 1 / s(3)], [1, 1]),
+                3: ([-s(mpmath.mpf(3) / 5), 0, s(mpmath.mpf(3) / 5)],
+                    [mpmath.mpf(5) / 9, mpmath.mpf(8) / 9, mpmath.mpf(5) / 9]),
+                4: ([-outer, -inner, inner, outer], [w_out, w_in, w_in, w_out]),
+                }[order]
+        return np.array([float(v) for v in x]), np.array([float(v) for v in w])
+
+
+def _mpmath_rule(order):
+    """Positive Gauss-Legendre nodes and their weights from mpmath's own
+    Legendre function at 40 digits.  Each root is found in a bracket of
+    relative width 2^-39 around a float64 node; a sign change of P_order
+    across every bracket puts one root in each, and order // 2 disjoint
+    brackets hold all positive roots.  Weights are 2/((1 - x^2) P'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    x, _ = gl_rule(order)
+    with mpmath.workdps(40):
+        def P(t):
+            return mpmath.legendre(order, t)
+
+        nodes, weights = [], []
+        for xf in x[x > 0]:
+            lo = mpmath.mpf(xf) * (1 - mpmath.mpf(2) ** -40)
+            hi = mpmath.mpf(xf) * (1 + mpmath.mpf(2) ** -40)
+            assert P(lo) * P(hi) < 0
+            r = mpmath.findroot(P, (lo, hi), solver="anderson")
+            d = order * (mpmath.legendre(order - 1, r) - r * P(r)) / (1 - r * r)
+            nodes.append(float(r))
+            weights.append(float(2 / ((1 - r * r) * d * d)))
+    assert len(nodes) == order // 2
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_gl_rule_matches_closed_forms(order):
+    x, w = gl_rule(order)
+    xc, wc = _closed_form_rule(order)
+    assert np.max(_ulps(x, xc)) <= 1
+    assert np.max(_ulps(w, wc)) <= 1
+
+
+@pytest.mark.parametrize("order, weight_ulps",
+                         [(15, 2), (24, 2), (31, 2), (100, 1)])
+def test_gl_rule_matches_mpmath(order, weight_ulps):
+    # the orders of adaptive_gl, the Stieltjes mesh, the Gram audit and
+    # ullman_cdf_many
+    x, w = gl_rule(order)
+    xm, wm = _mpmath_rule(order)
+    pos = x > 0
+    assert np.max(_ulps(x[pos], xm)) <= 1
+    assert np.max(_ulps(w[pos], wm)) <= weight_ulps
+    if order % 2:
+        assert x[order // 2] == 0.0
+
+
+@pytest.mark.parametrize("order", [*range(1, 41), 100])
+def test_gl_rule_exactly_symmetric(order):
+    x, w = gl_rule(order)
+    assert x.dtype == w.dtype == np.float64
+    assert x.shape == w.shape == (order,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 15, 24, 31, 100])
+def test_gl_rule_integrates_monomials(order):
+    # the rule is exact up to degree 2 order - 1.  Rounding the nodes to
+    # float64 alone moves the high even moments by several ulps of their
+    # small values (7.8 ulps at order 24, degree 46, in exact arithmetic on
+    # the correctly rounded rule), so every degree is held to 4 ulps of
+    # max(|exact|, 1), and degrees up to `order` to 4 ulps of the value
+    x, w = gl_rule(order)
+    for k in range(2 * order):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        err = abs(math.fsum(w * x**k) - exact)
+        assert err <= 4 * np.spacing(max(exact, 1.0)), k
+        if k <= order and k % 2 == 0:
+            assert err <= 4 * np.spacing(exact), k
+
+
+def test_gl_rule_raises_when_newton_does_not_converge(monkeypatch):
+    # two steps leave the order-24 nodes far from converged; the uncached
+    # function is called so the cache is neither read nor filled
+    monkeypatch.setattr(quadrature, "_NEWTON_STEPS", 2)
+    with pytest.raises(DiscretizationError,
+                       match="order 24 did not converge in 2 Newton steps"):
+        quadrature.gl_rule.__wrapped__(24)
 
 
 def test_adaptive_gl_budget_error_carries_partials():

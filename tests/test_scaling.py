@@ -292,21 +292,43 @@ def test_ullman_cdf_symmetry_and_closed_forms():
     assert ullman_cdf(2.0, 0.5) == pytest.approx(semi, abs=1e-11)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs ~0.3 s per process; only the quad-based limit
-    # density needs it, and it imports it on first call
-    code = (
-        "import math, sys\n"
-        "import orthozero as oz\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
-        "d = oz.ullman_density(2.0, 0.3)\n"
-        "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n")
+def _run_fresh(code: str) -> None:
+    """Run `code` in a new interpreter that imports this package."""
     src = str(Path(oz.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs ~0.3 s per process; only the quad-based limit
+    # density needs it, and it imports it on first call
+    _run_fresh(
+        "import math, sys\n"
+        "import orthozero as oz\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "d = oz.ullman_density(2.0, 0.3)\n"
+        "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n")
+
+
+def test_runs_leave_scipy_special_unloaded():
+    # scipy.special costs ~0.3 s and ~25 MB per process; the Gauss-Legendre
+    # rule is the package's own, so neither the import nor a table build,
+    # a kac run or a simulation (counting, eigenvalues, KS) loads it
+    _run_fresh(
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import orthozero\n"
+        "from orthozero.cli import run\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "for argv in (['recurrence', '--n-max', '20'],\n"
+        "             ['kac', '--n', '50', '--full-line'],\n"
+        "             ['simulate', '--n', '30', '--trials', '4']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0\n"
+        "    assert 'scipy.special' not in sys.modules, argv\n")
 
 
 def test_ullman_cdf_monotone():
