@@ -25,12 +25,17 @@ import numpy as np
 
 from .errors import (
     BracketError,
-    DiscretizationError,
     DomainError,
     NonEvenWeightError,
     SingularityError,
 )
-from .quadrature import cheb_t_integral, cheb_t_nodes, cheb_u_rule, gl_rule
+from .quadrature import (
+    adaptive_gl,
+    cheb_t_integral,
+    cheb_t_nodes,
+    cheb_u_rule,
+    gl_rule,
+)
 from .weights import WeightSpec
 
 # relative node separation below which the divided difference of Q' is
@@ -245,39 +250,19 @@ def sigma_star_curve(spec: WeightSpec, info: ScalingInfo,
 def freud_constants(alpha: float) -> tuple[float, float]:
     """(gamma_alpha, B_alpha) for the standard Freud normalization.
 
-    gamma_alpha = int_0^1 t^(alpha-1)/sqrt(1-t^2) dt,
-    B_alpha     = (2/pi) int_0^1 t^alpha/sqrt(1-t^2) dt.
+    gamma_alpha = int_0^1 t^(alpha-1)/sqrt(1-t^2) dt
+                = sqrt(pi) Gamma(alpha/2) / (2 Gamma((alpha+1)/2)),
+    B_alpha     = (2/pi) int_0^1 t^alpha/sqrt(1-t^2) dt
+                = Gamma((alpha+1)/2) / (sqrt(pi) Gamma(alpha/2 + 1)),
 
-    Both are computed by Gauss-Jacobi rules whose weight matches the
-    integrable endpoint factors exactly, then cross-checked against the
-    Gamma-function closed forms to 1e-12.
+    each from a difference of log-Gamma values, which stays finite where
+    Gamma itself overflows (alpha above ~341).
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    from scipy.special import gamma as gamma_fn, roots_jacobi  # lazy: ~0.3 s
-
-    def endpoint_integral(beta: float) -> float:
-        # int_0^1 t^(beta-1) (1-t)^(-1/2) (1+t)^(-1/2) dt via t = (1+y)/2
-        for m in (60, 120, 240, 480):
-            y, w = roots_jacobi(m, -0.5, beta - 1.0)
-            val = 2.0 ** (1.0 - beta) * float(np.sum(w / np.sqrt(3.0 + y)))
-            yv, wv = roots_jacobi(m + 17, -0.5, beta - 1.0)
-            check = 2.0 ** (1.0 - beta) * float(np.sum(wv / np.sqrt(3.0 + yv)))
-            if abs(val - check) < 1e-13 * max(1.0, abs(val)):
-                return check
-        raise DiscretizationError("endpoint integral did not stabilize")
-
-    g = endpoint_integral(alpha)
-    b = (2.0 / np.pi) * endpoint_integral(alpha + 1.0)
-
-    g_exact = gamma_fn(alpha / 2.0) * math.sqrt(math.pi) / (2.0 * gamma_fn(alpha / 2.0 + 0.5))
-    b_exact = (2.0 / math.pi) * gamma_fn((alpha + 1.0) / 2.0) * math.sqrt(math.pi) \
-        / (2.0 * gamma_fn(alpha / 2.0 + 1.0))
-    if abs(g - g_exact) > 1e-12 * max(1.0, g_exact) or \
-            abs(b - b_exact) > 1e-12 * max(1.0, b_exact):
-        raise DiscretizationError(
-            f"constants disagree with Gamma closed form at alpha={alpha}: "
-            f"{g!r} vs {g_exact!r}, {b!r} vs {b_exact!r}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    h = alpha / 2.0
+    g = 0.5 * math.sqrt(math.pi) * math.exp(math.lgamma(h) - math.lgamma(h + 0.5))
+    b = math.exp(math.lgamma(h + 0.5) - math.lgamma(h + 1.0)) / math.sqrt(math.pi)
     return g, b
 
 
@@ -285,11 +270,12 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
     """Limit density on [-1, 1]: (alpha/pi) int_|x|^1 t^(alpha-1)/sqrt(t^2-x^2) dt,
     arcsine 1/(pi sqrt(1-x^2)) for alpha = inf.
 
-    The substitution t^2 = x^2 + (1-x^2) u^2 removes the inverse-square-root
-    edge, leaving F = int_0^1 (x^2 + (1-x^2) u^2)^((alpha-2)/2) du.  At x = 0
-    the integrand is the pure power u^(alpha-2), handled by an
-    algebraic-weight rule; elsewhere an adaptive rule with a split at the
-    boundary-layer scale reaches `tol` absolute.
+    The substitution t = |x| cosh(S - r), with |x| cosh S = 1, removes the
+    inverse-square-root edge, leaving (alpha/pi) int_0^S t^(alpha-1) dr: an
+    integrand that falls from 1 at r = 0 to |x|^(alpha-1) at r = S, with no
+    boundary layer at small |x|.  adaptive_gl integrates it to `tol`
+    absolute, on panels split towards r = 0, where the mass lies for large
+    alpha.  At x = 0 the value is alpha/(pi (alpha-1)) exactly.
     """
     if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
@@ -304,25 +290,29 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
     if abs(x) == 1.0:
         return 0.0
 
-    from scipy.integrate import quad  # lazy: costs ~0.3 s at import
+    pref = alpha / math.pi
     y = abs(x)
-    pref = alpha / math.pi * math.sqrt(1.0 - y * y)
-    eps = min(tol / pref, 1e-8)
     if y == 0.0:
-        F = quad(lambda u: 1.0, 0.0, 1.0, weight="alg",
-                 wvar=(alpha - 2.0, 0.0), epsabs=eps, epsrel=0.0)[0]
-    else:
-        y2 = y * y
-        om = 1.0 - y2
+        return pref / (alpha - 1.0)
+    c = math.sqrt((1.0 - y) * (1.0 + y))  # |x| sinh S
+    l1c, ly = math.log1p(c), math.log(y)
+    top = l1c - ly  # = S, a sum of two non-negative terms
 
-        def h(u):
-            return (y2 + om * u * u) ** ((alpha - 2.0) / 2.0)
+    def t_pow(r):
+        # |x| cosh(S - r) = ((1+c) e^-r + (1-c) e^r)/2 with 1 - c = x^2/(1+c),
+        # in logs: finite for every |x| in (0, 1), subnormal ones included
+        return np.exp((alpha - 1.0) * (
+            np.logaddexp(l1c - r, r + 2.0 * ly - l1c) - math.log(2.0)))
 
-        d = y / math.sqrt(om)
-        points = [min(0.5, 10.0 * d)] if d < 0.05 else None
-        F = quad(h, 0.0, 1.0, points=points, limit=200,
-                 epsabs=eps, epsrel=0.0)[0]
-    return pref * F
+    # for large alpha the mass lies within ~1/(alpha-1) of r = 0 (t^(alpha-1)
+    # <= e^-8 past `width`); pieces that double in length from there, each
+    # with an equal share of tol, keep a long tail from starving it of tol
+    width = 8.0 / (alpha - 1.0)
+    edges = [0.0, *(width * 2.0**k for k in range(
+        max(0, math.ceil(math.log2(top / width))))), top]
+    eps = min(tol / pref, 1e-8) / (len(edges) - 1)
+    return pref * float(sum(adaptive_gl(t_pow, lo, hi, eps)[0]
+                            for lo, hi in zip(edges, edges[1:])))
 
 
 def ullman_density_alt(alpha: float, x: float, tol: float = 1e-8) -> float:

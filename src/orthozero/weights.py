@@ -45,10 +45,6 @@ class WeightSpec:
         """Content identity for the table and grid caches (never the label)."""
         return self.q if self.fingerprint is None else self.fingerprint
 
-    def w2(self, x):
-        """The orthogonality weight W^2 = exp(-2Q)."""
-        return np.exp(-2.0 * self.q(np.asarray(x, dtype=float)))
-
 
 def make_freud(c: float, lam: float) -> WeightSpec:
     """Freud weight W(x) = exp(-c |x|^lam), c > 0, lam > 1.

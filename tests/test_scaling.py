@@ -225,9 +225,35 @@ def test_ullman_semicircle_identity():
 
 def test_ullman_center_values():
     assert oz.ullman_density(math.inf, 0.0) == pytest.approx(1.0 / math.pi)
-    for alpha in (1.5, 3.0, 4.0, 8.0):
-        assert oz.ullman_density(alpha, 0.0) == pytest.approx(
-            (alpha / math.pi) / (alpha - 1.0), rel=1e-11)
+    # the density moves by O(|x|^(alpha-1)) off the centre: at |x| <= 1e-100,
+    # subnormal included, nothing for these alpha
+    for alpha in (1.5, 3.0, 4.0, 8.0, 50.0, 1000.0):
+        for x in (0.0, 5e-324, -1e-300, 1e-100):
+            assert oz.ullman_density(alpha, x) == pytest.approx(
+                (alpha / math.pi) / (alpha - 1.0), rel=1e-11)
+
+
+def _ullman_mp(mpmath, alpha, x):
+    """(alpha/pi) sqrt(1-x^2) int_0^1 (x^2 + (1-x^2) u^2)^((alpha-2)/2) du at
+    the working precision, the u-integral split at d/100, d, 10d and
+    min(1/2, 100d) around its boundary layer, d = x/sqrt(1-x^2)."""
+    a, y = mpmath.mpf(alpha), mpmath.mpf(x)
+    om = 1 - y * y
+    d = y / mpmath.sqrt(om)
+    cuts = [0, d / 100, d, 10 * d, min(mpmath.mpf(0.5), 100 * d), 1]
+    F = mpmath.quad(lambda u: (y * y + om * u * u) ** ((a - 2) / 2), cuts)
+    return a / mpmath.pi * mpmath.sqrt(om) * F
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-8, 1e-5, 1e-3])
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 3.0])
+def test_ullman_density_near_centre_meets_tol(alpha, x):
+    # below alpha = 2 the u-integrand peaks at x^(alpha-2) in a layer of
+    # width ~x; the density must still meet its default tol = 1e-10
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = float(_ullman_mp(mpmath, alpha, x))
+    assert abs(oz.ullman_density(alpha, x) - exact) <= 1e-10
 
 
 def test_ullman_edges_and_domain():
@@ -292,6 +318,29 @@ def test_ullman_cdf_symmetry_and_closed_forms():
     assert ullman_cdf(2.0, 0.5) == pytest.approx(semi, abs=1e-11)
 
 
+@pytest.mark.parametrize("alpha, rel", [
+    *((a, 1e-14) for a in (1.05, 1.5, 2.0, 3.0, 4.0, 8.0, 30.0)),
+    *((a, 1e-12) for a in (100.0, 300.0, 1000.0))])
+def test_freud_constants_match_gamma_closed_forms(alpha, rel):
+    # 40-digit oracle; above alpha ~341 Gamma(alpha/2 + 1) overflows a double
+    mpmath = pytest.importorskip("mpmath")
+    g, b = oz.freud_constants(alpha)
+    assert math.isfinite(g) and math.isfinite(b)
+    with mpmath.workdps(40):
+        a, sqrt_pi = mpmath.mpf(alpha), mpmath.sqrt(mpmath.pi)
+        g_ref = sqrt_pi * mpmath.gamma(a / 2) / (2 * mpmath.gamma((a + 1) / 2))
+        b_ref = mpmath.gamma((a + 1) / 2) / (sqrt_pi * mpmath.gamma(a / 2 + 1))
+
+        def moment(p):  # int_0^1 t^p / sqrt(1 - t^2) dt
+            return mpmath.quad(lambda t: t**p / mpmath.sqrt(1 - t * t), [0, 1])
+
+        # the closed forms are the defining integrals of the docstring
+        assert abs(moment(a - 1) / g_ref - 1) <= 1e-18
+        assert abs(2 / mpmath.pi * moment(a) / b_ref - 1) <= 1e-18
+        assert abs(g / g_ref - 1) <= rel
+        assert abs(b / b_ref - 1) <= rel
+
+
 def _run_fresh(code: str) -> None:
     """Run `code` in a new interpreter that imports this package."""
     src = str(Path(oz.__file__).resolve().parents[1])
@@ -302,33 +351,29 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate costs ~0.3 s per process; only the quad-based limit
-    # density needs it, and it imports it on first call
+def test_runs_without_scipy():
+    # scipy is a test dependency only: with every `import scipy` failing,
+    # the package imports and each subcommand runs, the limit density,
+    # Freud constants (verify 7, 8) and monomial basis (verify 6) included
     _run_fresh(
-        "import math, sys\n"
+        "import io, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from contextlib import redirect_stdout\n"
         "import orthozero as oz\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
+        "from orthozero.cli import run\n"
+        "for argv in (['mrs', '--n', '8,100'],\n"
+        "             ['density', '--weight', 'freud:1:4', '--n', '20',\n"
+        "              '--points', '5'],\n"
+        "             ['recurrence', '--n-max', '20'],\n"
+        "             ['kac', '--n', '50', '--full-line'],\n"
+        "             ['kac', '--n', '50', '--basis', 'monomial',\n"
+        "              '--full-line'],\n"
+        "             ['simulate', '--n', '30', '--trials', '4'],\n"
+        "             ['verify', '--only', '6,7,8,9']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
         "d = oz.ullman_density(2.0, 0.3)\n"
         "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n")
-
-
-def test_runs_leave_scipy_special_unloaded():
-    # scipy.special costs ~0.3 s and ~25 MB per process; the Gauss-Legendre
-    # rule is the package's own, so neither the import nor a table build,
-    # a kac run or a simulation (counting, eigenvalues, KS) loads it
-    _run_fresh(
-        "import io, sys\n"
-        "from contextlib import redirect_stdout\n"
-        "import orthozero\n"
-        "from orthozero.cli import run\n"
-        "assert 'scipy.special' not in sys.modules\n"
-        "for argv in (['recurrence', '--n-max', '20'],\n"
-        "             ['kac', '--n', '50', '--full-line'],\n"
-        "             ['simulate', '--n', '30', '--trials', '4']):\n"
-        "    with redirect_stdout(io.StringIO()):\n"
-        "        assert run(argv) == 0\n"
-        "    assert 'scipy.special' not in sys.modules, argv\n")
 
 
 def test_ullman_cdf_monotone():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -101,8 +99,3 @@ def test_parse_weight_registry():
         oz.parse_weight("hermite")
     with pytest.raises(DomainError):
         oz.parse_weight("freud:a:b")
-
-
-def test_w2_is_exp_minus_2q():
-    w = oz.make_freud(1, 2)
-    assert w.w2(1.3) == pytest.approx(math.exp(-2.0 * 1.3**2), rel=1e-14)
