@@ -351,6 +351,36 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs ~0.3 s per process; the limit density runs on the
+    # package's own adaptive Gauss-Legendre rule, so nothing loads it
+    _run_fresh(
+        "import math, sys\n"
+        "import orthozero as oz\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "d = oz.ullman_density(2.0, 0.3)\n"
+        "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n"
+        "assert 'scipy.integrate' not in sys.modules\n")
+
+
+def test_runs_leave_scipy_special_unloaded():
+    # scipy.special costs ~0.3 s and ~25 MB per process; the Gauss-Legendre
+    # rule is the package's own, so neither the import nor a table build,
+    # a kac run or a simulation (counting, eigenvalues, KS) loads it
+    _run_fresh(
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import orthozero\n"
+        "from orthozero.cli import run\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "for argv in (['recurrence', '--n-max', '20'],\n"
+        "             ['kac', '--n', '50', '--full-line'],\n"
+        "             ['simulate', '--n', '30', '--trials', '4']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0\n"
+        "    assert 'scipy.special' not in sys.modules, argv\n")
+
+
 def test_runs_without_scipy():
     # scipy is a test dependency only: with every `import scipy` failing,
     # the package imports and each subcommand runs, the limit density,
