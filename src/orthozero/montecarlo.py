@@ -21,9 +21,10 @@ from .kac import kac_density
 from .orthopoly import (
     _BASIS_BYTES,
     RecurrenceTable,
+    _basis_into,
     combo_values,
     kernel_triple_many,
-    poly_matrix,
+    poly_matrix,  # unused here, but perfbench's tracer rebinds this name
 )
 from .scaling import ScalingInfo, solve_mrs, ullman_cdf_many
 from .weights import WeightSpec
@@ -223,8 +224,11 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
               n: int, a_n: float):
     """Zero counts and brackets for a block of coefficient rows.
 
-    Level 0 is the grid, evaluated as C @ P in grid-column blocks that keep
-    P and D under _BASIS_BYTES; sign changes there give the base brackets.
+    Level 0 is the grid, as C @ P in blocks of grid columns that keep P and
+    D under _BASIS_BYTES, and in those in blocks of rows whose working set
+    (V, Vd, masks, Hermite scratch: about four V-sized arrays) fits it too;
+    a row carries its last grid value into the next column block, so every
+    cell is seen once.  Grid sign changes give the base brackets.
     A hidden pair of zeros inside a cell forces (Rolle) a sign change of the
     derivative there; such cells, less those the Hermite exclusion test
     clears (see _rescue_cells), are split into a fan of _SUBDIV_FAN
@@ -237,33 +241,52 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
     sign change; a count also includes grid points where a value vanishes.
     """
-    V, Vd = np.empty((2, C.shape[0], grid.size))
-    expo = np.empty(grid.size, dtype=np.int64)
-    step = max(1, _BASIS_BYTES // (8 * (n + 1)))
-    for blk in (slice(g, g + step) for g in range(0, grid.size, step)):
-        P, D, expo[blk] = poly_matrix(table, grid[blk], n, derivs=True)
-        np.matmul(C, P, out=V[:, blk])
-        np.matmul(C, D, out=Vd[:, blk])
-    on_grid, xs = np.count_nonzero(V == 0, axis=1), grid
-    rows = np.arange(C.shape[0])  # coefficient row of each row of V
-    frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
     found = []
-    for level in range(_SUBDIV_DEPTH + 1):
-        if level:
-            xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
-            V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
+
+    def level(V, Vd, expo, xs, rows, last=False):
         pf = _flips(V)
         i, j = np.nonzero(pf)
         xb = np.broadcast_to(xs, V.shape)
         found.append((rows[i], xb[i, j], xb[i, j + 1], np.sign(V[i, j])))
-        if level == _SUBDIV_DEPTH:
+        if not last:
+            i, j = _rescue_cells(V, Vd, expo, xs, pf, a_n)
+            return rows[i], xb[i, j], xb[i, j + 1]
+
+    step = max(1, _BASIS_BYTES // (8 * (n + 1)))
+    w = min(step, grid.size)
+    nr = min(len(C), max(1, _BASIS_BYTES // (4 * 8 * (w + 1))))
+    PD = np.empty(2 * (n + 1) * w)  # one basis block, reused
+    buf = np.empty(2 * nr * (w + 1))  # V and Vd of one row block, reused
+    carry = np.empty((2, len(C), 1))  # last V, Vd of each row
+    on_grid = np.zeros(len(C), dtype=np.int64)
+    expo = np.empty(0, dtype=np.int64)  # so the first block carries none
+    kept = []
+    for g in range(0, grid.size, step):
+        xs = grid[g:g + step]
+        P, D, e = _basis_into(table, xs, n, PD[:2 * (n + 1) * xs.size]
+                              .reshape(2, n + 1, xs.size))
+        c0 = min(g, 1)  # the carried column, past the first block
+        xs, expo = grid[g - c0:g + step], np.concatenate((expo[-1:], e))
+        for r in range(0, len(C), nr):
+            blk = slice(r, min(r + nr, len(C)))
+            V, Vd = buf[:2 * (blk.stop - r) * xs.size].reshape(2, -1, xs.size)
+            V[:, :c0], Vd[:, :c0] = carry[:, blk, :c0]
+            np.matmul(C[blk], P, out=V[:, c0:])
+            np.matmul(C[blk], D, out=Vd[:, c0:])
+            carry[:, blk] = V[:, -1:], Vd[:, -1:]
+            on_grid[blk] += np.count_nonzero(V[:, c0:] == 0, axis=1)
+            kept.append(level(V, Vd, expo, xs, np.arange(r, blk.stop)))
+    rows, x0, x1 = (np.concatenate(a) for a in zip(*kept))
+    frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
+    for depth in range(1, _SUBDIV_DEPTH + 1):
+        if rows.size == 0:
             break
-        i, j = _rescue_cells(V, Vd, expo, xs, pf, a_n)
-        if i.size == 0:
-            break
-        rows, x0, x1 = rows[i], xb[i, j], xb[i, j + 1]
+        xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
+        V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
+        if nxt := level(V, Vd, expo, xs, rows, depth == _SUBDIV_DEPTH):
+            rows, x0, x1 = nxt
     bt, lo, hi, sl = (np.concatenate(a) for a in zip(*found))
-    return np.bincount(bt, minlength=C.shape[0]) + on_grid, (bt, lo, hi, sl)
+    return np.bincount(bt, minlength=len(C)) + on_grid, (bt, lo, hi, sl)
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
@@ -403,7 +426,8 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table)
     counts = np.zeros(trials)
-    chunk = max(1, min(trials, 64_000_000 // (8 * grid.size)))
+    # a chunk bounds C (under _BASIS_BYTES) and its brackets (<= n per trial)
+    chunk = max(1, min(trials, _BASIS_BYTES // (8 * (n + 1))))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         C = np.stack([sample_coeffs(dist, seed, t, n) for t in range(t0, t1)])

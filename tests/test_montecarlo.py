@@ -230,6 +230,25 @@ def test_count_memory_bounded(hermite, hermite_table_1001):
     assert peak <= 40e6
 
 
+def test_ensemble_memory_bounded(hermite):
+    # held whole, V = C @ P and Vd = C @ D of 1000 trials at the 2133 grid
+    # points of n = 200 took the call to 85 MB; in blocks of coefficient
+    # rows the grid level stays under _BASIS_BYTES and the call near 20 MB
+    n = 200
+    table = oz.get_table(hermite, n + 1)
+    info = oz.solve_mrs(hermite, n + 1)
+    oz.make_count_grid(hermite, info, table)  # cached before the trace
+    tracemalloc.start()
+    try:
+        res = oz.mc_expected_zeros(hermite, table, n, 1000,
+                                   oz.CoeffDist("gaussian"), 0, info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trials == 1000 and np.all(res.counts > 0)
+    assert peak <= 30e6
+
+
 def test_counts_below_freud_exponent_two():
     # lam = 1.5: the grid needs only the table, so counting works for every
     # Freud exponent the weights admit

@@ -109,18 +109,24 @@ def audit(n, trials, law):
 def fan_audit(n, trials, law, monkeypatch):
     """scan() over the derivative-only fan sub-cells of subdivision depths
     1 and 2 of trials 0..trials-1 at seed 0; one (pairs, worst residual)
-    per depth.  The grid call of _rescue_cells comes first and each later
-    call is the next depth."""
+    per depth.  The grid-level calls of _rescue_cells come first, one per
+    block of coefficient rows in row order, grid-column block after
+    grid-column block; each later call is the next depth."""
     table, info, grid, C = _setup(n, trials, law)
     rescue = mc._rescue_cells
     levels = []
+    grid_rows = []  # coefficient rows kept by each grid-level call
+    offset = [0]  # coefficient row of the next grid-level call's first row
     active = []  # coefficient row of each fan row at the current level
 
     def spy(V, Vd, expo, xs, pf, a_n):
         t, c = rescue(V, Vd, expo, xs, pf, a_n)
         if xs.ndim == 1:
-            active[:] = [t]
+            grid_rows.append(offset[0] + t)
+            offset[0] = (offset[0] + V.shape[0]) % trials
             return t, c
+        if not levels:
+            active[:] = [np.concatenate(grid_rows)]
         Sd = np.sign(Vd)
         i, j = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
         levels.append((active[0][i], xs[i, j], xs[i, j + 1],
@@ -231,35 +237,52 @@ def test_counts_independent_of_block_layout(law):
 
 
 def test_grid_column_blocks_keep_brackets(monkeypatch):
-    # at n = 300 the grid level runs in two blocks of grid columns; as one
-    # block it gives the same counts and brackets
-    n = 300
-    table, info, grid, C = _setup(n, 40, "rademacher")
-    step = mc._BASIS_BYTES // (8 * (n + 1))
-    assert step < grid.size <= 2 * step
-    counts, blocked = mc._brackets(table, C, grid, n, info.a_n)
-    monkeypatch.setattr(mc, "_BASIS_BYTES", 8 * (n + 1) * grid.size)
-    one_counts, whole = mc._brackets(table, C, grid, n, info.a_n)
-    assert np.array_equal(counts, one_counts)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(_sorted(blocked), _sorted(whole)))
+    # at n = 300 the grid level runs in two blocks of grid columns, and on a
+    # 2 MB budget n = 200 with 300 trials runs in two blocks of grid columns
+    # of six blocks of coefficient rows each; as one block each gives the
+    # same counts and brackets
+    for n, trials, budget, row_blocks in ((300, 40, mc._BASIS_BYTES, 1),
+                                          (200, 300, 2_000_000, 3)):
+        table, info, grid, C = _setup(n, trials, "rademacher")
+        monkeypatch.setattr(mc, "_BASIS_BYTES", budget)
+        step = budget // (8 * (n + 1))
+        assert step < grid.size <= 2 * step
+        assert -(-trials // (budget // (32 * (step + 1)))) >= row_blocks
+        counts, blocked = mc._brackets(table, C, grid, n, info.a_n)
+        monkeypatch.setattr(mc, "_BASIS_BYTES", max(
+            8 * (n + 1) * grid.size, 32 * (grid.size + 1) * trials))
+        one_counts, whole = mc._brackets(table, C, grid, n, info.a_n)
+        assert np.array_equal(counts, one_counts)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_sorted(blocked), _sorted(whole)))
 
 
 def test_one_rescue_pass_per_level(monkeypatch):
-    # about 1,350 grid cells need rescue here: more than the 710 that an
-    # 8 MB block of coefficients repeated per fan point would hold at
-    # n = 200, yet every level is still one pass: grid plus 3
+    # about 1,350 grid cells need rescue here, summed over the grid level's
+    # blocks of coefficient rows: more than the 710 that an 8 MB block of
+    # coefficients repeated per fan point would hold at n = 200, yet every
+    # fan level is still one pass, 3 at most
     n = 200
     table, info, grid, C = _setup(n, 1000, "rademacher")
     rescue = mc._rescue_cells
-    calls = []
+    grid_calls = {}  # per grid-column block (its last point): (rows, kept)
+    fan_calls = []
 
     def spy(V, Vd, expo, xs, pf, a_n):
         t, c = rescue(V, Vd, expo, xs, pf, a_n)
-        calls.append(t.size)
+        if xs.ndim == 1:
+            grid_calls.setdefault(xs[-1], []).append((V.shape[0], t.size))
+        else:
+            fan_calls.append(t.size)
         return t, c
 
     monkeypatch.setattr(mc, "_rescue_cells", spy)
     mc._brackets(table, C, grid, n, info.a_n)
-    assert calls[0] > 8_000_000 // (8 * (n + 1) * (mc._SUBDIV_FAN + 1))
-    assert len(calls) <= 1 + mc._SUBDIV_DEPTH
+    kept = sum(k for calls in grid_calls.values() for _, k in calls)
+    assert kept > 8_000_000 // (8 * (n + 1) * (mc._SUBDIV_FAN + 1))
+    assert len(fan_calls) <= mc._SUBDIV_DEPTH
+    # the grid-level calls cover every coefficient row once per column block
+    step = mc._BASIS_BYTES // (8 * (n + 1))
+    assert len(grid_calls) == -(-grid.size // step)
+    assert all(sum(r for r, _ in calls) == C.shape[0]
+               for calls in grid_calls.values())
