@@ -105,8 +105,9 @@ def make_count_grid(spec: WeightSpec, info: ScalingInfo,
     names it (spec.cache_key and table.n_max), and info.
 
     info must be the scaling data for n + 1.  The grid is one walk from 0,
-    mirrored about the origin (the zero density is even).  Near the support
-    edge the step is floored at the edge-scaling scale a n^(-2/3), where
+    mirrored about the origin exactly, with a single 0 (the zero density is
+    even; _brackets builds its basis on x >= 0 only and rests on this).
+    Near the support edge the step is floored at the scale a n^(-2/3), where
     zero spacings stop shrinking; past _EDGE a_n the step grows
     geometrically from the last inner step.  Raises BudgetError when the
     whole grid would exceed _MAX_GRID points."""
@@ -221,14 +222,19 @@ def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
 
 
 def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
-              n: int, a_n: float):
+              n: int, a_n: float, brackets: bool = True):
     """Zero counts and brackets for a block of coefficient rows.
 
-    Level 0 is the grid, as C @ P in blocks of grid columns that keep P and
-    D under _BASIS_BYTES, and in those in blocks of rows whose working set
-    (V, Vd, masks, Hermite scratch: about four V-sized arrays) fits it too;
-    a row carries its last grid value into the next column block, so every
-    cell is seen once.  Grid sign changes give the base brackets.
+    Level 0 is the grid.  By the mirror symmetry that make_count_grid
+    builds, and p_k(-x) = (-1)^k p_k(x) bit for bit in the recurrence sweep,
+    P and D are built on the half grid x >= 0 only, in blocks of grid
+    columns that keep them under _BASIS_BYTES: the side x >= 0 is C @ P,
+    C @ D and the side x <= 0 is Cs @ P, -(Cs @ D), Cs = C (-1)^k, the same
+    products exactly.  Each side walks outward from 0 in blocks of rows
+    whose working set (V, Vd, masks, Hermite scratch: about four V-sized
+    arrays) fits the budget too, and carries each row's last value into the
+    next column block, so every cell is seen once; the side x <= 0 reaches
+    `level` in ascending x.  Grid sign changes give the base brackets.
     A hidden pair of zeros inside a cell forces (Rolle) a sign change of the
     derivative there; such cells, less those the Hermite exclusion test
     clears (see _rescue_cells), are split into a fan of _SUBDIV_FAN
@@ -239,43 +245,55 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     is declared zero-free.
 
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
-    sign change; a count also includes grid points where a value vanishes.
+    sign change, or (counts, None) without `brackets`; a count also
+    includes grid points where a value vanishes, x = 0 once.
     """
+    counts = np.zeros(len(C), dtype=np.int64)
     found = []
 
     def level(V, Vd, expo, xs, rows, last=False):
         pf = _flips(V)
-        i, j = np.nonzero(pf)
+        np.add.at(counts, rows, np.count_nonzero(pf, axis=1))
         xb = np.broadcast_to(xs, V.shape)
-        found.append((rows[i], xb[i, j], xb[i, j + 1], np.sign(V[i, j])))
+        if brackets:
+            i, j = np.nonzero(pf)
+            found.append((rows[i], xb[i, j], xb[i, j + 1], np.sign(V[i, j])))
         if not last:
             i, j = _rescue_cells(V, Vd, expo, xs, pf, a_n)
             return rows[i], xb[i, j], xb[i, j + 1]
 
+    h = grid.size // 2
+    walks = (grid[h:], grid[h::-1])  # outward from 0 on each side
+    Cs = C * (-1.0) ** np.arange(n + 1)  # weights of the p_k(x) at -x
     step = max(1, _BASIS_BYTES // (8 * (n + 1)))
-    w = min(step, grid.size)
+    w = min(step, h + 1)
     nr = min(len(C), max(1, _BASIS_BYTES // (4 * 8 * (w + 1))))
     PD = np.empty(2 * (n + 1) * w)  # one basis block, reused
     buf = np.empty(2 * nr * (w + 1))  # V and Vd of one row block, reused
-    carry = np.empty((2, len(C), 1))  # last V, Vd of each row
-    on_grid = np.zeros(len(C), dtype=np.int64)
+    carry = np.empty((2, 2, len(C), 1))  # per side, last V, Vd of each row
     expo = np.empty(0, dtype=np.int64)  # so the first block carries none
     kept = []
-    for g in range(0, grid.size, step):
-        xs = grid[g:g + step]
-        P, D, e = _basis_into(table, xs, n, PD[:2 * (n + 1) * xs.size]
-                              .reshape(2, n + 1, xs.size))
+    for g in range(0, h + 1, step):
+        x = walks[0][g:g + step]
+        P, D, e = _basis_into(table, x, n, PD[:2 * (n + 1) * x.size]
+                              .reshape(2, n + 1, x.size))
         c0 = min(g, 1)  # the carried column, past the first block
-        xs, expo = grid[g - c0:g + step], np.concatenate((expo[-1:], e))
+        xs, expo = walks[0][g - c0:g + step], np.concatenate((expo[-1:], e))
         for r in range(0, len(C), nr):
             blk = slice(r, min(r + nr, len(C)))
             V, Vd = buf[:2 * (blk.stop - r) * xs.size].reshape(2, -1, xs.size)
-            V[:, :c0], Vd[:, :c0] = carry[:, blk, :c0]
-            np.matmul(C[blk], P, out=V[:, c0:])
-            np.matmul(C[blk], D, out=Vd[:, c0:])
-            carry[:, blk] = V[:, -1:], Vd[:, -1:]
-            on_grid[blk] += np.count_nonzero(V[:, c0:] == 0, axis=1)
-            kept.append(level(V, Vd, expo, xs, np.arange(r, blk.stop)))
+            for side, (Cx, walk) in enumerate(zip((C, Cs), walks)):
+                V[:, :c0], Vd[:, :c0] = carry[side, :, blk, :c0]
+                np.matmul(Cx[blk], P, out=V[:, c0:])
+                np.matmul(Cx[blk], D, out=Vd[:, c0:])
+                if side:
+                    np.negative(Vd[:, c0:], out=Vd[:, c0:])
+                carry[side, :, blk] = V[:, -1:], Vd[:, -1:]
+                counts[blk] += (V[:, max(c0, side):] == 0).sum(axis=1)
+                rev = slice(None, None, 1 - 2 * side)  # ascending x
+                kept.append(level(V[:, rev], Vd[:, rev], expo[rev],
+                                  walk[g - c0:g + step][rev],
+                                  np.arange(r, blk.stop)))
     rows, x0, x1 = (np.concatenate(a) for a in zip(*kept))
     frac = np.linspace(0.0, 1.0, _SUBDIV_FAN + 1)
     for depth in range(1, _SUBDIV_DEPTH + 1):
@@ -285,8 +303,9 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
         if nxt := level(V, Vd, expo, xs, rows, depth == _SUBDIV_DEPTH):
             rows, x0, x1 = nxt
-    bt, lo, hi, sl = (np.concatenate(a) for a in zip(*found))
-    return np.bincount(bt, minlength=len(C)) + on_grid, (bt, lo, hi, sl)
+    if not brackets:
+        return counts, None
+    return counts, tuple(np.concatenate(a) for a in zip(*found))
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
@@ -426,12 +445,13 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
         info = solve_mrs(spec, n + 1)
     grid = make_count_grid(spec, info, table)
     counts = np.zeros(trials)
-    # a chunk bounds C (under _BASIS_BYTES) and its brackets (<= n per trial)
+    # a chunk bounds C and its sign-flipped copy, each under _BASIS_BYTES
     chunk = max(1, min(trials, _BASIS_BYTES // (8 * (n + 1))))
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         C = np.stack([sample_coeffs(dist, seed, t, n) for t in range(t0, t1)])
-        counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n)
+        counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n,
+                                     brackets=False)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))
     return McResult(mean=mean, stderr=stderr, counts=counts, trials=trials)

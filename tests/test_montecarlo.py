@@ -451,6 +451,18 @@ def test_grid_over_budget_raises(hermite, hermite_table_60, monkeypatch,
     assert mc._GRID_CACHE == {}
 
 
+@pytest.mark.parametrize("weight,n", [("freud:0.5:2", 200), ("freud:1:1.5", 90),
+                                      ("freud:1:4", 500)])
+def test_count_grid_exactly_mirrored(weight, n):
+    # the counter evaluates its basis on the half x >= 0 and reads the side
+    # x <= 0 off it by parity, so the grid must mirror bit for bit
+    spec = oz.parse_weight(weight)
+    table = oz.get_table(spec, n + 1)
+    grid = oz.make_count_grid(spec, oz.solve_mrs(spec, n + 1), table)
+    assert np.array_equal(grid, -grid[::-1])
+    assert np.count_nonzero(grid == 0) == 1
+
+
 @pytest.mark.parametrize("weight,n", [("freud:0.5:2", 30), ("freud:0.5:2", 40),
                                       ("freud:0.5:2", 200), ("freud:1:4", 100),
                                       ("mixed24", 40)])

@@ -109,9 +109,10 @@ def audit(n, trials, law):
 def fan_audit(n, trials, law, monkeypatch):
     """scan() over the derivative-only fan sub-cells of subdivision depths
     1 and 2 of trials 0..trials-1 at seed 0; one (pairs, worst residual)
-    per depth.  The grid-level calls of _rescue_cells come first, one per
-    block of coefficient rows in row order, grid-column block after
-    grid-column block; each later call is the next depth."""
+    per depth.  The grid-level calls of _rescue_cells come first: per
+    block of grid columns, per block of coefficient rows in row order, the
+    side x >= 0 and then the side x <= 0 (whose points start below 0); each
+    later call is the next depth."""
     table, info, grid, C = _setup(n, trials, law)
     rescue = mc._rescue_cells
     levels = []
@@ -123,7 +124,8 @@ def fan_audit(n, trials, law, monkeypatch):
         t, c = rescue(V, Vd, expo, xs, pf, a_n)
         if xs.ndim == 1:
             grid_rows.append(offset[0] + t)
-            offset[0] = (offset[0] + V.shape[0]) % trials
+            if xs[0] < 0:  # the side x <= 0 ends its block of rows
+                offset[0] = (offset[0] + V.shape[0]) % trials
             return t, c
         if not levels:
             active[:] = [np.concatenate(grid_rows)]
@@ -237,16 +239,19 @@ def test_counts_independent_of_block_layout(law):
 
 
 def test_grid_column_blocks_keep_brackets(monkeypatch):
-    # at n = 300 the grid level runs in two blocks of grid columns, and on a
-    # 2 MB budget n = 200 with 300 trials runs in two blocks of grid columns
-    # of six blocks of coefficient rows each; as one block each gives the
-    # same counts and brackets
-    for n, trials, budget, row_blocks in ((300, 40, mc._BASIS_BYTES, 1),
-                                          (200, 300, 2_000_000, 3)):
+    # the grid level builds its basis on the half grid x >= 0: on a 2 MB
+    # budget n = 300 runs it in two blocks of grid columns, and on a 1.5 MB
+    # budget n = 200 with 300 trials in two blocks of grid columns of six
+    # blocks of coefficient rows each; as one block each gives the same
+    # counts and brackets
+    for n, trials, budget, row_blocks in ((300, 40, 2_000_000, 1),
+                                          (200, 300, 1_500_000, 3)):
         table, info, grid, C = _setup(n, trials, "rademacher")
         monkeypatch.setattr(mc, "_BASIS_BYTES", budget)
         step = budget // (8 * (n + 1))
-        assert step < grid.size <= 2 * step
+        half = grid[grid.size // 2:]
+        assert half[0] == 0
+        assert step < half.size <= 2 * step
         assert -(-trials // (budget // (32 * (step + 1)))) >= row_blocks
         counts, blocked = mc._brackets(table, C, grid, n, info.a_n)
         monkeypatch.setattr(mc, "_BASIS_BYTES", max(
@@ -257,6 +262,42 @@ def test_grid_column_blocks_keep_brackets(monkeypatch):
                    for a, b in zip(_sorted(blocked), _sorted(whole)))
 
 
+def test_basis_built_on_half_grid(monkeypatch):
+    # the grid level's basis covers the points x >= 0 only, 1067 of 2133
+    n = 200
+    table, info, grid, C = _setup(n, 20, "gaussian")
+    basis_into = mc._basis_into
+    seen = []
+
+    def spy(table, x, n, PD):
+        seen.append(x.copy())
+        return basis_into(table, x, n, PD)
+
+    monkeypatch.setattr(mc, "_basis_into", spy)
+    mc._brackets(table, C, grid, n, info.a_n)
+    assert sum(x.size for x in seen) == grid.size // 2 + 1
+    assert np.array_equal(np.concatenate(seen), grid[grid.size // 2:])
+
+
+@pytest.mark.parametrize("weight,n", [("freud:1:1.5", 90), ("freud:1:4", 200)])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform"])
+def test_counts_without_brackets_match(weight, n, law):
+    # the ensemble counts without building brackets; the golden digests pin
+    # neither weight
+    spec = oz.parse_weight(weight)
+    table = oz.get_table(spec, n + 1)
+    info = oz.solve_mrs(spec, n + 1)
+    grid = oz.make_count_grid(spec, info, table)
+    C = np.stack([oz.sample_coeffs(oz.CoeffDist(law), 0, t, n)
+                  for t in range(100)])
+    counts, brackets = mc._brackets(table, C, grid, n, info.a_n)
+    bare, none = mc._brackets(table, C, grid, n, info.a_n, brackets=False)
+    assert none is None
+    assert np.array_equal(bare, counts)
+    # no coefficient row here vanishes at a grid point: one bracket a zero
+    assert np.array_equal(counts, np.bincount(brackets[0], minlength=100))
+
+
 def test_one_rescue_pass_per_level(monkeypatch):
     # about 1,350 grid cells need rescue here, summed over the grid level's
     # blocks of coefficient rows: more than the 710 that an 8 MB block of
@@ -265,13 +306,16 @@ def test_one_rescue_pass_per_level(monkeypatch):
     n = 200
     table, info, grid, C = _setup(n, 1000, "rademacher")
     rescue = mc._rescue_cells
-    grid_calls = {}  # per grid-column block (its last point): (rows, kept)
+    # per side (x <= 0 or not) and grid-column block (its point farthest
+    # from 0): (rows, kept) of each call
+    grid_calls = {}
     fan_calls = []
 
     def spy(V, Vd, expo, xs, pf, a_n):
         t, c = rescue(V, Vd, expo, xs, pf, a_n)
         if xs.ndim == 1:
-            grid_calls.setdefault(xs[-1], []).append((V.shape[0], t.size))
+            key = (bool(xs[0] < 0), float(np.max(np.abs(xs))))
+            grid_calls.setdefault(key, []).append((V.shape[0], t.size))
         else:
             fan_calls.append(t.size)
         return t, c
@@ -281,8 +325,9 @@ def test_one_rescue_pass_per_level(monkeypatch):
     kept = sum(k for calls in grid_calls.values() for _, k in calls)
     assert kept > 8_000_000 // (8 * (n + 1) * (mc._SUBDIV_FAN + 1))
     assert len(fan_calls) <= mc._SUBDIV_DEPTH
-    # the grid-level calls cover every coefficient row once per column block
+    # the grid-level calls cover every coefficient row once per side per
+    # column block of the half grid
     step = mc._BASIS_BYTES // (8 * (n + 1))
-    assert len(grid_calls) == -(-grid.size // step)
+    assert len(grid_calls) == 2 * -(-(grid.size // 2 + 1) // step)
     assert all(sum(r for r, _ in calls) == C.shape[0]
                for calls in grid_calls.values())
