@@ -56,7 +56,6 @@ from .scaling import (
     solve_mrs,
     ullman_cdf_many,
     ullman_density,
-    ullman_density_alt,
 )
 from .weights import (
     WeightSpec,

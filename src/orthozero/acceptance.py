@@ -165,12 +165,16 @@ def criterion_7() -> CriterionResult:
     worst_semi = max(
         abs(scaling.ullman_density(2.0, float(x))
             - 2.0 / math.pi * math.sqrt(max(1.0 - x * x, 0.0))) for x in xs)
+    # the alternative route: sigma_n* of the Freud weight, which is the
+    # Ullman density at every n, by the equilibrium divided difference
     worst_alt = 0.0
+    pts = (-0.9, -0.5, 0.1, 0.7)
     for alpha in (1.5, 3.0, 8.0):
-        for x in (-0.9, -0.5, 0.1, 0.7):
-            worst_alt = max(worst_alt, abs(
-                scaling.ullman_density(alpha, x)
-                - scaling.ullman_density_alt(alpha, x)))
+        spec = weights.make_freud(1.0, alpha)
+        alt = scaling.normalized_density_many(
+            spec, scaling.solve_mrs(spec, 90), pts)
+        worst_alt = max(worst_alt, *(abs(scaling.ullman_density(alpha, x) - v)
+                                     for x, v in zip(pts, alt)))
     ok = worst_prod <= 1e-12 and worst_semi <= 1e-10 and worst_alt <= 1e-8
     return CriterionResult(
         7, "constants identity and density-route agreement", ok,

@@ -79,14 +79,15 @@ def _density_batch(table: RecurrenceTable, n: int, stats: _ClampStats):
 
 
 def expected_zeros(table: RecurrenceTable, n: int, interval: tuple[float, float],
-                   tol: float = 1e-6, edge: float | None = None) -> ZeroDensityProfile:
+                   tol: float = 1e-6, *, edge: float) -> ZeroDensityProfile:
     """Adaptive quadrature of the zero density over a finite interval.
 
     `edge` pre-splits the initial panels geometrically around +-edge where
-    the density has its sharp shoulder; it defaults to 2 b_n, which is
-    asymptotically the support radius.  The density is even, so a symmetric
-    interval (lo == -hi) is integrated on [0, hi] to tol/2 and doubled, and
-    its samples are mirrored.  Each refinement wave is one recurrence sweep.
+    the density has its sharp shoulder: the support radius (the program
+    passes a_{n+1}, or a_n for a scaled interval).  The density is even, so
+    a symmetric interval (lo == -hi) is integrated on [0, hi] to tol/2 and
+    doubled, and its samples are mirrored.  Each refinement wave is one
+    recurrence sweep.
     """
     stats = _ClampStats()
     val, err, xs, fs = _integrate(table, n, interval, tol, edge, stats)
@@ -97,12 +98,10 @@ def expected_zeros(table: RecurrenceTable, n: int, interval: tuple[float, float]
 
 
 def _integrate(table: RecurrenceTable, n: int, interval, tol: float,
-               edge: float | None, stats: _ClampStats):
+               edge: float, stats: _ClampStats):
     """expected_zeros' (value, error, samples x, samples density), with the
     clamps of every evaluated node recorded in `stats`."""
     lo, hi = check_interval(*interval)
-    if edge is None:
-        edge = 2.0 * table.b(n) if n >= 1 else 1.0
     shoulder = [f * edge for f in (0.85, 0.95, 0.99, 1.0, 1.01, 1.05, 1.15)]
     dens = _density_batch(table, n, stats)
     if lo == -hi:
@@ -115,7 +114,7 @@ def _integrate(table: RecurrenceTable, n: int, interval, tol: float,
 
 
 def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
-                        edge: float | None = None) -> ZeroDensityProfile:
+                        *, edge: float) -> ZeroDensityProfile:
     """Expected count over the whole line.
 
     The core is integrated on [-1.5 edge, 1.5 edge], folded onto x >= 0 as
@@ -125,8 +124,6 @@ def expected_zeros_full(table: RecurrenceTable, n: int, tol: float = 1e-6,
     negligible by itself).  The density is even, so the two tails are one
     tail doubled.  Core and tail nodes share one clamp count.
     """
-    if edge is None:
-        edge = 2.0 * table.b(n) if n >= 1 else 1.0
     R = 1.5 * edge
     stats = _ClampStats()
     val, err, xs, fs = _integrate(table, n, (-R, R), tol * 0.5, edge, stats)

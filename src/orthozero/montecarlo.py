@@ -348,8 +348,8 @@ def comrade_matrix(table: RecurrenceTable, coeffs: np.ndarray) -> np.ndarray:
     c = c[: n + 1]
     M = np.zeros((n, n))
     off = table.off_diag
-    for k in range(1, n):
-        M[k, k - 1] = M[k - 1, k] = off[k - 1]
+    k = np.arange(1, n)
+    M[k, k - 1] = M[k - 1, k] = off[:n - 1]
     M[n - 1, :] -= (off[n - 1] / c[n]) * c[:n]
     return M
 

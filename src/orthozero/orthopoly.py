@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscretizationError, DomainError
-from .quadrature import gl_rule
+from .quadrature import _mesh
 from .scaling import ScalingInfo, equilibrium_density_many, solve_mrs
 from .weights import WeightSpec
 
@@ -116,27 +116,6 @@ def _support_radius(spec: WeightSpec, n_max: int) -> float:
         else:
             hi = mid
     return lo
-
-
-def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
-          grade_levels: int):
-    """Nodes and weights of composite Gauss-Legendre panels on [0, R],
-    geometrically graded toward 0 (where Q'' may blow up): the positive half
-    of a mesh on [-R, R] that is symmetric about the origin."""
-    ld = np.longdouble
-    xg, wg = gl_rule(order)
-    xg = xg.astype(ld)
-    wg = wg.astype(ld)
-    n_uniform = max(8, -(-n_target // (2 * order)))
-    edges = np.linspace(ld(0), ld(R), n_uniform + 1)
-    first = edges[1]
-    graded = [first * ld(grade_ratio) ** j for j in range(1, grade_levels)][::-1]
-    edges = np.concatenate([[ld(0)], graded, edges[1:]])
-    lo, hi = edges[:-1], edges[1:]
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
-            (half[:, None] * wg[None, :]).ravel())
 
 
 def _window_edge(spec: WeightSpec, n_max: int) -> float:

@@ -1,5 +1,7 @@
-"""Quadrature building blocks: Chebyshev rules with node doubling and an
-adaptive Gauss-Legendre panel integrator with batched evaluation."""
+"""Quadrature building blocks: Chebyshev rules, the one composite
+Gauss-Legendre mesh graded toward 0, refinement of a family of rules until
+two passes agree, and an adaptive Gauss-Legendre panel integrator with
+batched evaluation."""
 
 from __future__ import annotations
 
@@ -61,33 +63,58 @@ def gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def cheb_t_integral(node_sum, tol: float, m0: int = 32, m_cap: int = 1 << 21):
-    """Integrate f(x)/sqrt(1-x^2) over (-1, 1) by node doubling.
+def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
+          grade_levels: int):
+    """Nodes and weights of composite Gauss-Legendre panels on [0, R],
+    geometrically graded toward 0 (where Q'' may blow up): the positive half
+    of a mesh on [-R, R] that is symmetric about the origin."""
+    ld = np.longdouble
+    xg, wg = gl_rule(order)
+    xg = xg.astype(ld)
+    wg = wg.astype(ld)
+    n_uniform = max(8, -(-n_target // (2 * order)))
+    edges = np.linspace(ld(0), ld(R), n_uniform + 1)
+    first = edges[1]
+    graded = [first * ld(grade_ratio) ** j for j in range(1, grade_levels)][::-1]
+    edges = np.concatenate([[ld(0)], graded, edges[1:]])
+    lo, hi = edges[:-1], edges[1:]
+    mid = (lo + hi) / 2
+    half = (hi - lo) / 2
+    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
+            (half[:, None] * wg[None, :]).ravel())
 
-    `node_sum` must accept a 1-D ndarray of nodes and return the sum of f
-    over them: a scalar, or an array with one entry per integrand, each
-    integrated separately.  Summing is the caller's, so it may evaluate
-    many integrands in blocks.  Doubling stops once two successive rule
-    evaluations differ by less than tol/4 in every entry, following the
-    convention that the returned error estimate is the last (largest)
-    inter-rule difference.
 
-    Returns (value, err_estimate, m_used).
+def refine(estimate, tol: float, passes: int, name: str):
+    """Run a family of rules until two successive passes agree.
+
+    `estimate(k)` returns pass k's value: a scalar, or an array with one
+    entry per integrand, each integrated separately.  Passes k = 0, 1, ...
+    stop once two successive values differ by less than tol/4 in every
+    entry; the later one is returned.  DiscretizationError after `passes`
+    passes.
     """
     if not tol > 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    m = m0
-    val = (np.pi / m) * node_sum(cheb_t_nodes(m))
-    while m < m_cap:
-        m *= 2
-        new = (np.pi / m) * node_sum(cheb_t_nodes(m))
+    val = estimate(0)
+    for k in range(1, passes):
+        new = estimate(k)
         diff = np.max(np.abs(new - val))
         val = new
         if diff < tol / 4.0:
-            return val, diff, m
+            return val
     raise DiscretizationError(
-        f"Chebyshev rule did not converge to {tol:g} within {m_cap} nodes"
-    )
+        f"{name} did not converge to {tol:g} within {passes} passes")
+
+
+def cheb_t_integral(node_sum, tol: float):
+    """Integrate f(x)/sqrt(1-x^2) over (-1, 1) on first-kind Chebyshev
+    nodes, doubling from 64 to 2^21 of them (see refine).
+
+    `node_sum` must accept a 1-D ndarray of nodes and return the sum of f
+    over them.
+    """
+    return refine(lambda k: (np.pi / (64 << k)) * node_sum(
+        cheb_t_nodes(64 << k)), tol, 16, "Chebyshev rule")
 
 
 def check_interval(lo: float, hi: float) -> tuple[float, float]:

@@ -30,17 +30,22 @@ from .errors import (
     SingularityError,
 )
 from .quadrature import (
+    _mesh,
     adaptive_gl,
     cheb_t_integral,
     cheb_t_nodes,
     cheb_u_rule,
     gl_rule,
+    refine,
 )
 from .weights import WeightSpec
 
-# relative node separation below which the divided difference of Q' is
+# separation, relative to |x|, below which the divided difference of Q' is
 # replaced by the midpoint second derivative (removable singularity)
 _DD_GUARD = 1e-6
+# Gauss-Legendre order of the graded equilibrium rule, and its pass cap
+_DD_ORDER = 8
+_DD_PASSES = 7
 # bytes that one row block of the divided-difference integrand may take
 _DD_BYTES = 64_000_000
 # relative shrink of the support at each end for the uniform kernel window
@@ -89,8 +94,7 @@ def _mrs_integral(spec: WeightSpec, a: float, tol: float) -> float:
         t = np.abs(t)
         return a * t * np.asarray(spec.q1(a * t), dtype=float)
 
-    val, _, _ = cheb_t_integral(lambda t: np.sum(h(t)), tol * math.pi, m0=64)
-    return val / math.pi
+    return cheb_t_integral(lambda t: np.sum(h(t)), tol * math.pi) / math.pi
 
 
 def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
@@ -152,39 +156,54 @@ def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
     return ScalingInfo(n=n, a_n=a, residual=residual)
 
 
-def _divided_difference(spec: WeightSpec, s, x, scale: float):
+def _divided_difference(spec: WeightSpec, s, x):
     """(Q'(s) - Q'(x))/(s - x) with the removable singularity patched by the
-    midpoint second derivative when |s - x| < _DD_GUARD * scale."""
+    midpoint second derivative when |s - x| < _DD_GUARD |x|: a band relative
+    to x, since for lam < 2 Q'' is unbounded at 0, where no band of fixed
+    width may stand in for the divided difference."""
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     den = s - x
-    near = np.abs(den) < _DD_GUARD * scale
-    safe = np.where(near, 1.0, den)
+    near = np.abs(den) < _DD_GUARD * np.abs(x)
     dd = (np.asarray(spec.q1(s), dtype=float)
-          - np.asarray(spec.q1(x), dtype=float)) / safe
+          - np.asarray(spec.q1(x), dtype=float)) / np.where(near, 1.0, den)
     if np.any(near):
-        mid = 0.5 * (s + x)
-        dd = np.where(near, np.asarray(spec.q2(mid), dtype=float), dd)
+        s, x = np.broadcast_arrays(s, x)
+        dd[near] = np.asarray(spec.q2(0.5 * (s[near] + x[near])), dtype=float)
     return dd
 
 
 def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
                              tol: float = 1e-8) -> np.ndarray:
-    """sigma_n at an array of points strictly inside the support."""
+    """sigma_n at an array of points strictly inside the support.
+
+    With s = a_n cos(theta) the integral of sigma_n is int_0^pi DQ dtheta,
+    DQ the divided difference of Q'; theta = pi/2 -+ phi folds it onto
+    phi in [0, pi/2], s = +-a_n sin(phi), which puts the cusp of Q' at 0
+    (lam < 2) at phi = 0, where quadrature._mesh grades its panels.  Pass k
+    takes 8 2^k uniform panels of order _DD_ORDER and 8 2^k panels halving
+    toward 0, so it halves every uniform panel and reaches 8 2^k halvings
+    deeper than pass k - 1 (whose graded panels it keeps).  The passes
+    stop when the integral agrees to tol/4 at every point (see refine).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a = info.a_n
     if np.any(np.abs(x) >= a):
         raise DomainError("equilibrium density needs |x| < a_n")
 
-    def row_sums(u):
+    def estimate(k):
+        phi, w = _mesh(math.pi / 2, (16 * _DD_ORDER) << k, order=_DD_ORDER,
+                       grade_ratio=0.5, grade_levels=8 << k)
+        s = a * np.sin(phi).astype(float)
+        s, w = np.concatenate([-s, s])[None, :], np.tile(w.astype(float), 2)
         # rows in blocks: about eight float64 (rows, nodes) temporaries of
         # the integrand are alive at once
-        rows = max(1, _DD_BYTES // (8 * 8 * u.size))
+        rows = max(1, _DD_BYTES // (8 * 8 * w.size))
         return np.concatenate([np.sum(_divided_difference(
-            spec, a * u[None, :], x[r:r + rows, None], a), axis=-1)
+            spec, s, x[r:r + rows, None]) * w, axis=-1)
             for r in range(0, x.size, rows)])
 
-    I, _, _ = cheb_t_integral(row_sums, tol, m0=256, m_cap=1 << 19)
+    I = refine(estimate, tol, _DD_PASSES, "graded equilibrium rule")
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
 
 
@@ -313,43 +332,6 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
     eps = min(tol / pref, 1e-8) / (len(edges) - 1)
     return pref * float(sum(adaptive_gl(t_pow, lo, hi, eps)[0]
                             for lo, hi in zip(edges, edges[1:])))
-
-
-def ullman_density_alt(alpha: float, x: float, tol: float = 1e-8) -> float:
-    """Same density through the equilibrium-integral route:
-
-        2 sqrt(1-x^2) / (pi^2 B_alpha) int_0^1 (t^a - |x|^a)/(t^2 - x^2)
-                                               dt / sqrt(1 - t^2),
-
-    evaluated with first-kind Chebyshev nodes (even extension) and the
-    divided-difference limit (a/2) t^(a-2) near t = |x|.
-    """
-    if math.isinf(alpha):
-        raise DomainError("alternative formula requires finite alpha")
-    if not alpha > 1:
-        raise DomainError(f"alpha must lie in (1, inf), got {alpha}")
-    if abs(x) >= 1.0:
-        raise DomainError(f"|x| must be < 1, got {x}")
-
-    y = abs(x)
-    ya = y**alpha
-    _, b_al = freud_constants(alpha)
-
-    def g(t):
-        t = np.abs(t)
-        den = t * t - y * y
-        near = np.abs(t - y) < 1e-9
-        safe = np.where(near, 1.0, den)
-        out = (t**alpha - ya) / safe
-        if np.any(near):
-            mid = np.maximum(0.5 * (t + y), 1e-300)
-            out = np.where(near, 0.5 * alpha * mid ** (alpha - 2.0), out)
-        return out
-
-    pref = 2.0 * math.sqrt(1.0 - y * y) / (math.pi**2 * b_al)
-    val, _, _ = cheb_t_integral(lambda t: np.sum(g(t)), tol / pref, m0=64,
-                                m_cap=1 << 22)
-    return pref * 0.5 * val
 
 
 def ullman_cdf_many(alpha: float, xs) -> np.ndarray:

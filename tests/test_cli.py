@@ -137,8 +137,9 @@ def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
 
     # a table build starts with the radius solve, so it integrates too; a
     # cached table would skip both, so get_table itself may not run either
-    for module, name in ((orthopoly, "_mesh"), (orthopoly, "get_table"),
-                         (kac, "adaptive_gl"), (scaling, "cheb_t_integral")):
+    for module, name in ((orthopoly, "_mesh"), (scaling, "_mesh"),
+                         (orthopoly, "get_table"), (kac, "adaptive_gl"),
+                         (scaling, "cheb_t_integral")):
         monkeypatch.setattr(module, name, _must_not_run)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -165,6 +166,16 @@ def test_density_table():
     s, sig, mu = map(float, lines[3].split(","))
     # quadratic weight: both columns are the semicircle
     assert sig == pytest.approx(mu, abs=1e-8)
+
+
+def test_density_table_below_exponent_two():
+    # the cusp of Q' at 0: every row, s = 0 included, within --tol
+    code, out = capture(["density", "--weight", "freud:1:1.5", "--n", "90"])
+    assert code == 0
+    rows = [tuple(map(float, line.split(",")))
+            for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 101 and min(abs(s) for s, _, _ in rows) < 1e-15
+    assert max(abs(sig - mu) for _, sig, mu in rows) <= 1e-8
 
 
 def test_recurrence_table_and_cache(tmp_path):

@@ -44,7 +44,10 @@ same double.
 The `density` digest was recaptured when the limit density moved from
 QUADPACK to adaptive_gl on the substitution t = |x| cosh(S - r): 16 of the
 21 `limit_density` values moved, by at most 3.3e-16 (three ulps); the `s`
-and `sigma_star` columns held.
+and `sigma_star` columns held.  It was recaptured again when sigma_n moved
+from Chebyshev node doubling to composite Gauss-Legendre rules in
+phi = arcsin(s/a_n), graded toward s = 0: 9 of the 21 `sigma_star` values
+moved, by at most 8.9e-16; the `s` and `limit_density` columns held.
 """
 
 import hashlib
@@ -60,7 +63,7 @@ GOLDEN = {
     ("mrs", "--weight", "freud:1:2", "--n", "8,100"):
         "abfc50286ca1ccc5164a67a4bebda3b9c3a22259e361f763412f6ecb2426f998",
     ("density", "--weight", "freud:1:4", "--n", "60", "--points", "21"):
-        "79abfe36628a15a74b8d0c25d82eadb34b0f64cfcd7bafe6faac318faf8c6a32",
+        "1feea460b9fa7055e96249edbc7eda7ecf43dc30c39ffba1b480b3a32b28e9f1",
     ("recurrence", "--weight", "freud:0.5:2", "--n-max", "60"):
         "48332441e3264124e2e7082016003dd57f8f7b82c7d38217a2ecd044b864a875",
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--full-line"):

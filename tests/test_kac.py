@@ -87,9 +87,10 @@ def test_clamped_fraction_counts_each_evaluated_node_once(
     assert prof.worst_clamp == pytest.approx(-3.0)
 
 
-def test_expected_zeros_empty_interval(hermite_table_101):
+def test_expected_zeros_empty_interval(hermite, hermite_table_101):
     with pytest.raises(DomainError):
-        oz.expected_zeros(hermite_table_101, 10, (2.0, 2.0))
+        oz.expected_zeros(hermite_table_101, 10, (2.0, 2.0),
+                          edge=oz.solve_mrs(hermite, 11).a_n)
 
 
 def test_monomial_linear_has_one_zero():

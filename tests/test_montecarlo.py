@@ -82,6 +82,18 @@ def test_comrade_pure_top_degree_gives_gauss_nodes(hermite_table_60):
     assert np.max(np.abs(z - np.sort(roots_hermite(10)[0]))) <= 1e-10
 
 
+def test_comrade_matrix_matches_loop_reference(hermite_table_60):
+    # the band is filled by one index assignment; the loop it replaced,
+    # then the perturbed last row, give the same matrix bit for bit
+    tab = hermite_table_60
+    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 5, 0, 40)
+    ref = np.zeros((40, 40))
+    for k in range(1, 40):
+        ref[k, k - 1] = ref[k - 1, k] = tab.off_diag[k - 1]
+    ref[39, :] -= (tab.off_diag[39] / c[40]) * c[:40]
+    assert np.array_equal(oz.comrade_matrix(tab, c), ref)
+
+
 def test_comrade_trace_identity(hermite_table_60):
     # sum of zeros equals the ratio fixed by the two top monomial
     # coefficients; expand the basis polynomials at small degree to check
@@ -263,7 +275,8 @@ def test_counts_below_freud_exponent_two():
                             info.a_n) for t in range(trials)]
         assert np.array_equal(res.counts, eig)
         if law == "gaussian":
-            kac = oz.expected_zeros_full(table, n).expected_count
+            kac = oz.expected_zeros_full(table, n,
+                                         edge=info.a_n).expected_count
             assert abs(res.mean - kac) <= 3.0 * res.stderr
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln, roots_hermite
 
 import orthozero as oz
-from orthozero import orthopoly
+from orthozero import orthopoly, quadrature
 from orthozero.errors import DiscretizationError, DomainError
 
 
@@ -133,7 +133,7 @@ def _full_mesh_gram_residual(spec, table, R, n_target):
     # the audit without the parity split: both halves of the mirrored mesh,
     # one Gram product over all degrees
     n_check = min(table.n_max, 256)
-    nodes, wts = orthopoly._mesh(R, int(1.37 * n_target) | 1, order=31,
+    nodes, wts = quadrature._mesh(R, int(1.37 * n_target) | 1, order=31,
                                  grade_ratio=0.4, grade_levels=24)
     x = np.concatenate([-nodes[::-1], nodes]).astype(float)
     lw = np.concatenate([wts[::-1], wts]).astype(float)
@@ -467,7 +467,7 @@ def test_certificate_needs_a_weighted_sentinel_and_decay(hermite):
     # says nothing about the nodes past it, and with Q'(x_e) taken as 0
     # nothing bounds the growth of |p_k| e^-Q beyond it
     n_max = 101
-    nodes, wts = orthopoly._mesh(orthopoly._support_radius(hermite, n_max),
+    nodes, wts = quadrature._mesh(orthopoly._support_radius(hermite, n_max),
                                  1616, order=24, grade_ratio=0.5,
                                  grade_levels=30)
     w2w = np.exp(np.longdouble(-2) * hermite.q(nodes)) * wts
@@ -502,7 +502,7 @@ def test_q1_decreasing_beyond_window_takes_full_mesh(hermite, monkeypatch):
                          for nodes, _, _, keep, out in calls)
     assert tab.ortho_residual <= 1e-8
     # on the build's first mesh the undented weight drops nodes
-    nodes, wts = orthopoly._mesh(orthopoly._support_radius(spec, 100),
+    nodes, wts = quadrature._mesh(orthopoly._support_radius(spec, 100),
                                  1600, order=24, grade_ratio=0.5,
                                  grade_levels=30)
     assert np.array_equal(nodes, calls[0][0])

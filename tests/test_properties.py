@@ -25,10 +25,12 @@ def test_zero_density_is_even(hermite_table_60, x, n):
 @PROPERTY
 @given(a=st.floats(-12.0, 12.0), w1=st.floats(0.05, 8.0),
        w2=st.floats(0.05, 8.0), n=st.integers(2, 60))
-def test_expected_zeros_additive(hermite_table_60, a, w1, w2, n):
+def test_expected_zeros_additive(hermite, hermite_table_60, a, w1, w2, n):
     tol = 1e-6
     m, b = a + w1, a + w1 + w2
-    whole, left, right = (oz.expected_zeros(hermite_table_60, n, iv, tol=tol)
+    edge = oz.solve_mrs(hermite, n + 1).a_n
+    whole, left, right = (oz.expected_zeros(hermite_table_60, n, iv, tol=tol,
+                                            edge=edge)
                           for iv in ((a, b), (a, m), (m, b)))
     gap = abs(whole.expected_count - left.expected_count
               - right.expected_count)
@@ -38,13 +40,15 @@ def test_expected_zeros_additive(hermite_table_60, a, w1, w2, n):
 
 @PROPERTY
 @given(h=st.floats(0.05, 20.0), n=st.integers(1, 60))
-def test_symmetric_range_folds_onto_half_line(hermite_table_60, h, n):
+def test_symmetric_range_folds_onto_half_line(hermite, hermite_table_60, h, n):
     tol = 1e-6
-    whole = oz.expected_zeros(hermite_table_60, n, (-h, h), tol=tol)
+    edge = oz.solve_mrs(hermite, n + 1).a_n
+    whole = oz.expected_zeros(hermite_table_60, n, (-h, h), tol=tol, edge=edge)
     assert np.array_equal(whole.samples_x, -whole.samples_x[::-1])
     assert np.array_equal(whole.samples_density, whole.samples_density[::-1])
     # the halves take the unfolded path: neither range is symmetric
-    left, right = (oz.expected_zeros(hermite_table_60, n, iv, tol=tol)
+    left, right = (oz.expected_zeros(hermite_table_60, n, iv, tol=tol,
+                                     edge=edge)
                    for iv in ((-h, 0.0), (0.0, h)))
     gap = abs(whole.expected_count - left.expected_count
               - right.expected_count)

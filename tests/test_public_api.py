@@ -30,7 +30,7 @@ def test_public_api_is_exactly_these():
         "parse_weight", "poly_matrix", "sample_coeffs", "save_table",
         "scaled_expected_zeros", "sigma_curve", "sigma_star_curve",
         "solve_mrs", "ullman_cdf_many", "ullman_density",
-        "ullman_density_alt", "universality_ratios",
+        "universality_ratios",
     ]
 
 

@@ -105,9 +105,9 @@ def test_equilibrium_density_symmetry(freud14):
 
 
 def test_equilibrium_density_memory_bounded():
-    # Q'' = |x|^-1/2 near 0 drives the Chebyshev rule of the points near 0
-    # to 16384 nodes; evaluated whole, the (299, 16384) integrand and its
-    # temporaries took about 240 MB
+    # Q'' = |x|^-1/2 near 0 once drove the points near 0 to 16384 nodes;
+    # evaluated whole, the (299, 16384) integrand and its temporaries took
+    # about 240 MB, and every pass of the rule still runs in row blocks
     spec = oz.parse_weight("freud:1:1.5")
     info = oz.solve_mrs(spec, 90)
     x = info.a_n * np.linspace(-1.0, 1.0, 301)[1:-1]
@@ -265,10 +265,13 @@ def test_ullman_edges_and_domain():
         oz.ullman_density(3.0, 1.2)
     with pytest.raises(DomainError):
         oz.ullman_density(0.8, 0.0)
+    # the second route, sigma_n* of a Freud weight, takes finite exponents
+    # and |s| < 1 only
     with pytest.raises(DomainError):
-        oz.ullman_density_alt(math.inf, 0.5)
+        oz.make_freud(1.0, math.inf)
+    spec = oz.make_freud(1.0, 3.0)
     with pytest.raises(DomainError):
-        oz.ullman_density_alt(3.0, 1.0)
+        oz.normalized_density_many(spec, oz.solve_mrs(spec, 90), [1.0])
 
 
 _POINTS = oz.EmpiricalMeasure(scaled_points=np.array([-0.5, 0.3]), total=2,
@@ -290,20 +293,51 @@ def test_alpha_outside_one_to_inf_is_rejected(call, alpha):
         call(alpha)
 
 
+def _freud_sigma_star(alpha, s, tol=1e-8):
+    # the second route to the Ullman density: sigma_n* of exp(-|x|^alpha),
+    # which equals it at every n
+    spec = oz.make_freud(1.0, alpha)
+    return oz.normalized_density_many(spec, oz.solve_mrs(spec, 90), s, tol=tol)
+
+
 def test_ullman_alt_agrees_with_primary():
-    assert oz.ullman_density_alt(2.0, 0.5) == pytest.approx(
+    assert _freud_sigma_star(2.0, [0.5])[0] == pytest.approx(
         2.0 / math.pi * math.sqrt(0.75), abs=1e-9)
+    xs = (-0.9, -0.5, 0.1, 0.7)
     for alpha in (1.5, 3.0, 8.0):
-        for x in (-0.9, -0.5, 0.1, 0.7):
-            assert abs(oz.ullman_density(alpha, x)
-                       - oz.ullman_density_alt(alpha, x)) <= 1e-8
+        for x, alt in zip(xs, _freud_sigma_star(alpha, xs)):
+            assert abs(oz.ullman_density(alpha, x) - alt) <= 1e-8
 
 
 def test_ullman_alt_quartic_center():
     # (4/pi) * 1/3 through both routes
     target = 4.0 / (3.0 * math.pi)
     assert oz.ullman_density(4.0, 0.0) == pytest.approx(target, rel=1e-11)
-    assert oz.ullman_density_alt(4.0, 1e-12) == pytest.approx(target, rel=1e-7)
+    assert _freud_sigma_star(4.0, [1e-12])[0] == pytest.approx(target, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 3.0, 8.0])
+def test_sigma_star_is_ullman_at_every_exponent(alpha):
+    # the cusp of Q' at 0 (alpha < 2) and the kink of Q'' (alpha = 3) sit
+    # at phi = 0 of the graded rule, down to s = 1e-9
+    ss = (1e-9, 1e-6, 1e-3, 0.3, 0.9, 0.999)
+    got = _freud_sigma_star(alpha, ss, tol=1e-10)
+    for s, v in zip(ss, got):
+        assert abs(v - oz.ullman_density(alpha, s, tol=1e-13)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5])
+def test_divided_difference_guard_is_relative_to_x(alpha):
+    # Q'' is unbounded at 0 for alpha < 2: s = 2x lies within 1e-6 a_n of a
+    # small x, and must keep its divided difference, not Q'' at the midpoint
+    spec = oz.make_freud(1.0, alpha)
+    for x in (1e-9, 1e-6):
+        s = np.array([[2.0 * x, x * (1.0 + 1e-9)]])
+        dd = oz.scaling._divided_difference(spec, s, np.array([[x]]))
+        exact = (spec.q1(2.0 * x) - spec.q1(x)) / x
+        assert dd[0, 0] == pytest.approx(exact, rel=1e-12)
+        # within 1e-6 |x| the midpoint Q'' still stands in
+        assert dd[0, 1] == spec.q2(0.5 * (s[0, 1] + x))
 
 
 def test_ullman_cdf_symmetry_and_closed_forms():
