@@ -1,4 +1,4 @@
-"""Quadrature building blocks: Chebyshev rules, the one composite
+"""Quadrature building blocks: the Gauss-Legendre rule, the one composite
 Gauss-Legendre mesh graded toward 0, refinement of a family of rules until
 two passes agree, and an adaptive Gauss-Legendre panel integrator with
 batched evaluation."""
@@ -12,25 +12,6 @@ import numpy as np
 from .errors import BudgetError, DiscretizationError, DomainError
 
 _NEWTON_STEPS = 10  # gl_rule raises when its nodes need more
-
-
-@lru_cache(maxsize=64)
-def cheb_t_nodes(m: int) -> np.ndarray:
-    """First-kind Chebyshev nodes cos((2k-1)pi/2m), k = 1..m."""
-    x = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
-    x.setflags(write=False)
-    return x
-
-
-@lru_cache(maxsize=64)
-def cheb_u_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Second-kind Chebyshev rule for integrals against sqrt(1-x^2)."""
-    k = np.arange(1, m + 1)
-    x = np.cos(k * np.pi / (m + 1))
-    w = (np.pi / (m + 1)) * np.sin(k * np.pi / (m + 1)) ** 2
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @lru_cache(maxsize=32)
@@ -84,37 +65,29 @@ def _mesh(R: float, n_target: int, order: int, grade_ratio: float,
             (half[:, None] * wg[None, :]).ravel())
 
 
-def refine(estimate, tol: float, passes: int, name: str):
+def refine(estimate, tol: float, passes: int, name: str, rel: float = 0.0):
     """Run a family of rules until two successive passes agree.
 
     `estimate(k)` returns pass k's value: a scalar, or an array with one
     entry per integrand, each integrated separately.  Passes k = 0, 1, ...
-    stop once two successive values differ by less than tol/4 in every
-    entry; the later one is returned.  DiscretizationError after `passes`
-    passes.
+    stop once two successive values differ by less than
+    max(tol, rel |value|)/4 in every entry; the later value is returned
+    with the largest entry of that last difference.  With rel = 1 and a
+    value f - target, a pass stops as soon as the sign of f - target is
+    decided, or f is within tol of target.  DiscretizationError after
+    `passes` passes.
     """
     if not tol > 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     val = estimate(0)
     for k in range(1, passes):
         new = estimate(k)
-        diff = np.max(np.abs(new - val))
+        diff = np.abs(new - val)
         val = new
-        if diff < tol / 4.0:
-            return val
+        if (diff < np.maximum(tol, rel * np.abs(val)) / 4.0).all():
+            return val, float(diff.max())
     raise DiscretizationError(
         f"{name} did not converge to {tol:g} within {passes} passes")
-
-
-def cheb_t_integral(node_sum, tol: float):
-    """Integrate f(x)/sqrt(1-x^2) over (-1, 1) on first-kind Chebyshev
-    nodes, doubling from 64 to 2^21 of them (see refine).
-
-    `node_sum` must accept a 1-D ndarray of nodes and return the sum of f
-    over them.
-    """
-    return refine(lambda k: (np.pi / (64 << k)) * node_sum(
-        cheb_t_nodes(64 << k)), tol, 16, "Chebyshev rule")
 
 
 def check_interval(lo: float, hi: float) -> tuple[float, float]:

@@ -14,12 +14,23 @@ equilibrium density on (-a_n, a_n) is
 
 with total mass n; its contraction sigma_n*(s) = (a_n/n) sigma_n(a_n s) has
 unit mass on [-1, 1].
+
+All of these integrals run on one rule, the phi-rule: with t = sin(phi)
+each becomes an integral over phi in [0, pi/2] with s = a_n t, which takes
+away the inverse square roots and puts the cusp of Q' at 0 (Freud
+exponents below 2) at phi = 0.  Pass k of the rule (_phi_rule) is
+composite Gauss-Legendre of order _DD_ORDER on 8 2^k uniform panels and
+8 2^k panels halving toward phi = 0.  Every integral takes passes until two
+agree (quadrature.refine), at most _DD_PASSES of them; inside the radius
+solve's bisection an evaluation stops as soon as its last pass difference
+decides the sign of its defect.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,21 +40,14 @@ from .errors import (
     NonEvenWeightError,
     SingularityError,
 )
-from .quadrature import (
-    _mesh,
-    adaptive_gl,
-    cheb_t_integral,
-    cheb_t_nodes,
-    cheb_u_rule,
-    gl_rule,
-    refine,
-)
+from .quadrature import _mesh, adaptive_gl, gl_rule, refine
 from .weights import WeightSpec
 
 # separation, relative to |x|, below which the divided difference of Q' is
 # replaced by the midpoint second derivative (removable singularity)
 _DD_GUARD = 1e-6
-# Gauss-Legendre order of the graded equilibrium rule, and its pass cap
+# Gauss-Legendre order of the phi-rule, and the pass cap of every integral
+# on it
 _DD_ORDER = 8
 _DD_PASSES = 7
 # bytes that one row block of the divided-difference integrand may take
@@ -87,14 +91,32 @@ class ScalingInfo:
         return np.sqrt(np.maximum((x - lo) * (hi - x), 0.0))
 
 
-def _mrs_integral(spec: WeightSpec, a: float, tol: float) -> float:
-    """(2/pi) int_0^1 a t Q'(a t)/sqrt(1-t^2) dt, by first-kind Chebyshev
-    nodes on the even extension, doubling until stable."""
-    def h(t):
-        t = np.abs(t)
-        return a * t * np.asarray(spec.q1(a * t), dtype=float)
+@lru_cache(maxsize=_DD_PASSES)
+def _phi_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass k of the phi-rule on [0, pi/2]: t = sin(phi) and the weights,
+    as read-only float arrays.  Pass k halves every uniform panel of pass
+    k - 1 and keeps its graded panels, reaching 8 2^(k-1) + 1 halvings
+    deeper toward phi = 0."""
+    phi, w = _mesh(math.pi / 2, (16 * _DD_ORDER) << k, order=_DD_ORDER,
+                   grade_ratio=0.5, grade_levels=8 << k)
+    t, w = np.sin(phi).astype(float), w.astype(float)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
-    return cheb_t_integral(lambda t: np.sum(h(t)), tol * math.pi) / math.pi
+
+def _mrs_defect(spec: WeightSpec, a: float, n: int, tol: float) -> float:
+    """I(a) - n, I(a) the left side of the radius equation as
+    (2/pi) int_0^{pi/2} a t Q'(a t) dphi on the phi-rule.  The passes stop
+    once they agree to max(tol, |I - n|)/4: far from the root, as soon as
+    the sign of I - n is decided."""
+    def estimate(k):
+        t, w = _phi_rule(k)
+        s = a * t
+        return 2.0 / math.pi * float(
+            (w * s * np.asarray(spec.q1(s), dtype=float)).sum()) - n
+
+    return refine(estimate, tol, _DD_PASSES, "radius equation", rel=1.0)[0]
 
 
 def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
@@ -102,10 +124,13 @@ def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
 
     Brackets by doubling from a = 1, bisects to relative width 1e-13, then
     tries one Newton polish using the differentiated integrand, kept only
-    when it leaves the defect no larger than at the midpoint.  Each
-    evaluation of the left side converges to 1e-10 n (the equation's own
-    scale; float evaluation noise alone is ~1e-13 n); the defect actually
-    left at the returned radius is ScalingInfo.residual.
+    when it leaves the defect no larger than at the midpoint.  The left
+    side and its derivative run on the phi-rule (see the module notes).
+    Each evaluation of the left side takes passes until two agree to
+    1e-10 n (the equation's own scale; float evaluation noise alone is
+    ~1e-13 n), or until their difference is under a quarter of the
+    distance to n, which decides the sign bisection needs; the defect
+    actually left at the returned radius is ScalingInfo.residual.
     """
     if not spec.even:
         raise NonEvenWeightError(
@@ -116,17 +141,17 @@ def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
     itol = 1e-10 * max(1.0, n)
 
     def obj(a: float) -> float:
-        return _mrs_integral(spec, a, itol)
+        return _mrs_defect(spec, a, n, itol)
 
     lo, hi = 1.0, 1.0
     for _ in range(200):
-        if obj(hi) >= n:
+        if obj(hi) >= 0:
             break
         hi *= 2.0
     else:
         raise BracketError(f"could not bracket n = {n} from above")
     for _ in range(200):
-        if obj(lo) <= n:
+        if obj(lo) <= 0:
             break
         lo /= 2.0
     else:
@@ -134,22 +159,26 @@ def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
 
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        if obj(mid) < n:
+        if obj(mid) < 0:
             lo = mid
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    residual = obj(a) - n
+    residual = obj(a)
 
     # Newton polish: d/da [a t Q'(a t)] = t Q'(a t) + a t^2 Q''(a t)
-    m = 4096
-    t = np.abs(cheb_t_nodes(m))
-    deriv = float(np.mean(np.asarray(spec.q1(a * t), dtype=float) * t
-                          + a * t * t * np.asarray(spec.q2(a * t), dtype=float)))
+    def slope(k):
+        t, w = _phi_rule(k)
+        s = a * t
+        return 2.0 / math.pi * float((w * t * (
+            np.asarray(spec.q1(s), dtype=float)
+            + s * np.asarray(spec.q2(s), dtype=float))).sum())
+
+    deriv = refine(slope, itol, _DD_PASSES, "radius equation slope")[0]
     if deriv > 0:
         step = residual / deriv
         if abs(step) < 0.1 * a:
-            polished = obj(a - step) - n
+            polished = obj(a - step)
             if abs(polished) <= abs(residual):
                 a, residual = a - step, polished
 
@@ -179,12 +208,9 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
 
     With s = a_n cos(theta) the integral of sigma_n is int_0^pi DQ dtheta,
     DQ the divided difference of Q'; theta = pi/2 -+ phi folds it onto
-    phi in [0, pi/2], s = +-a_n sin(phi), which puts the cusp of Q' at 0
-    (lam < 2) at phi = 0, where quadrature._mesh grades its panels.  Pass k
-    takes 8 2^k uniform panels of order _DD_ORDER and 8 2^k panels halving
-    toward 0, so it halves every uniform panel and reaches 8 2^k halvings
-    deeper than pass k - 1 (whose graded panels it keeps).  The passes
-    stop when the integral agrees to tol/4 at every point (see refine).
+    phi in [0, pi/2], s = +-a_n sin(phi), both halves on the phi-rule.  The
+    passes stop when the integral agrees to tol/4 at every point (see
+    refine).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a = info.a_n
@@ -192,10 +218,8 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
         raise DomainError("equilibrium density needs |x| < a_n")
 
     def estimate(k):
-        phi, w = _mesh(math.pi / 2, (16 * _DD_ORDER) << k, order=_DD_ORDER,
-                       grade_ratio=0.5, grade_levels=8 << k)
-        s = a * np.sin(phi).astype(float)
-        s, w = np.concatenate([-s, s])[None, :], np.tile(w.astype(float), 2)
+        t, w = _phi_rule(k)
+        s, w = np.concatenate([-a * t, a * t])[None, :], np.tile(w, 2)
         # rows in blocks: about eight float64 (rows, nodes) temporaries of
         # the integrand are alive at once
         rows = max(1, _DD_BYTES // (8 * 8 * w.size))
@@ -203,7 +227,7 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
             spec, s, x[r:r + rows, None]) * w, axis=-1)
             for r in range(0, x.size, rows)])
 
-    I = refine(estimate, tol, _DD_PASSES, "graded equilibrium rule")
+    I = refine(estimate, tol, _DD_PASSES, "graded equilibrium rule")[0]
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
 
 
@@ -229,27 +253,27 @@ class DensityCurve:
     target_mass: float
 
 
-_CURVE_NODES = 512  # Chebyshev nodes of a sampled density curve
-
-
 def sigma_curve(spec: WeightSpec, info: ScalingInfo,
                 tol: float = 1e-8) -> DensityCurve:
-    """sigma_n sampled on second-kind Chebyshev nodes of the support; the
-    rule with weight sqrt(1-v^2) integrates the edge factor exactly."""
-    v, w = cheb_u_rule(_CURVE_NODES)
-    x = info.expand(v)
+    """sigma_n on the support, with its mass 2 a_n int_0^{pi/2}
+    sigma_n(a_n t) cos(phi) dphi on the phi-rule (t = sin(phi)), each
+    sigma_n value to `tol`.  The mass takes passes until two agree to
+    tol/4; err_estimate is that last pass difference, and the samples are
+    the last pass's nodes, mirrored onto both halves."""
     a = info.a_n
-    vals = equilibrium_density_many(spec, info, x, tol=tol)
-    # sigma_n(x) = sqrt(a^2-x^2) g(x); mass = a^2 sum w g(a v)
-    g = vals / np.maximum(info.rho(x), 1e-300)
-    mass = float(a * a * np.sum(w * g))
-    v2, w2 = cheb_u_rule(2 * _CURVE_NODES + 1)
-    x2 = info.expand(v2)
-    vals2 = equilibrium_density_many(spec, info, x2, tol=tol)
-    mass2 = float(a * a * np.sum(w2 * vals2 / np.maximum(info.rho(x2), 1e-300)))
-    err = abs(mass2 - mass) + tol * info.n
-    return DensityCurve(x=x, values=vals, mass=mass2, err_estimate=err,
-                        target_mass=float(info.n))
+    samples = []
+
+    def mass(k):
+        t, w = _phi_rule(k)
+        vals = equilibrium_density_many(spec, info, a * t, tol=tol)
+        samples.append((t, vals))
+        return 2.0 * a * float((w * vals * np.sqrt((1.0 - t) * (1.0 + t))).sum())
+
+    total, err = refine(mass, tol, _DD_PASSES, "equilibrium mass")
+    t, vals = samples[-1]
+    return DensityCurve(x=a * np.concatenate([-t[::-1], t]),
+                        values=np.concatenate([vals[::-1], vals]),
+                        mass=total, err_estimate=err, target_mass=float(info.n))
 
 
 def sigma_star_curve(spec: WeightSpec, info: ScalingInfo,

@@ -136,10 +136,12 @@ def test_bad_value_exits_2_before_any_work(argv, monkeypatch, capsys):
     from orthozero import kac, orthopoly, scaling
 
     # a table build starts with the radius solve, so it integrates too; a
-    # cached table would skip both, so get_table itself may not run either
+    # cached table would skip both, so get_table itself may not run either,
+    # and a cached phi-rule would let a radius solve slip past the _mesh
+    # patch, so its builder may not run
     for module, name in ((orthopoly, "_mesh"), (scaling, "_mesh"),
                          (orthopoly, "get_table"), (kac, "adaptive_gl"),
-                         (scaling, "cheb_t_integral")):
+                         (scaling, "_phi_rule")):
         monkeypatch.setattr(module, name, _must_not_run)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -48,6 +48,17 @@ and `sigma_star` columns held.  It was recaptured again when sigma_n moved
 from Chebyshev node doubling to composite Gauss-Legendre rules in
 phi = arcsin(s/a_n), graded toward s = 0: 9 of the 21 `sigma_star` values
 moved, by at most 8.9e-16; the `s` and `limit_density` columns held.
+
+Three digests were recaptured when the radius equation moved from
+first-kind Chebyshev nodes to sigma_n's graded phi-rule, which moved a_n
+by at most 2 ulps on the Hermite weight and 1 ulp on the quartic one (no
+a_n printed here changed).  `mrs freud:1:2`: the n = 100 residual went
+from 0 to -1.4e-14 (one ulp of n), a_n held.  `recurrence freud:0.5:2
+--n-max 60`: only the `ortho_residual` line moved (1.55e-15 to 1.33e-15),
+every b_k and gamma_k held.  `kac freud:0.5:2 --n 100 --full-line`: a_100
+moved one ulp, so x moved by at most 5.3e-15, the density by 8.9e-14
+(7.3e-12 relative, in the far tail), the count by 1.7e-9 and the error
+estimate from 3.57e-8 to 3.87e-8.
 """
 
 import hashlib
@@ -61,13 +72,13 @@ from orthozero.cli import run
 
 GOLDEN = {
     ("mrs", "--weight", "freud:1:2", "--n", "8,100"):
-        "abfc50286ca1ccc5164a67a4bebda3b9c3a22259e361f763412f6ecb2426f998",
+        "a39fbebfae5c8fceffe2d6df25270a3b0610db7b10001e631b4de5782b3eb013",
     ("density", "--weight", "freud:1:4", "--n", "60", "--points", "21"):
         "1feea460b9fa7055e96249edbc7eda7ecf43dc30c39ffba1b480b3a32b28e9f1",
     ("recurrence", "--weight", "freud:0.5:2", "--n-max", "60"):
-        "48332441e3264124e2e7082016003dd57f8f7b82c7d38217a2ecd044b864a875",
+        "dd738cf91465dd8e1f54ad6f5f76d1e5bd9c16673da7b38f1b759aaf111553dd",
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--full-line"):
-        "8786304d9716e2316dc9e3538e005abaf0c8824ba2512a6f7d4e51794821b20a",
+        "92ed317b2d759fb2a34ba78dc70727ec6d5e39c5fee6f162bfd26a5b585ef25d",
     ("kac", "--weight", "freud:1:4", "--n", "80", "--interval", "-1.5", "2"):
         "1871e8eb7b64356ce1dffd1822a05cbe4e8b09143e765df2f1a288ec74a5fe28",
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--interval", "-0.5",

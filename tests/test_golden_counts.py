@@ -26,6 +26,14 @@ of the n_max 51 and 201 tables.  Every count digest held; no trial of
 0..39 changed its number of zeros, and the largest |dz| is 5.7e-14 and
 1.4e-14 at n = 50 (gaussian, rademacher) and 6.0e-13 and 8.8e-12 at
 n = 200, all under the bisection width 1e-12 a_n.
+
+The two n = 50 zero-location digests were recaptured when the radius
+equation moved to sigma_n's graded phi-rule: a_51 moved by one ulp
+(10.099504938362077 to 10.09950493836208), and with it the grid and the
+brackets.  Every count digest and both n = 200 digests held; no trial of
+0..39 changed its number of zeros, and the largest |dz| is 5.7e-14
+(gaussian) and 1.0e-12 (rademacher, 1.0e-13 a_n), under the bisection
+width 1e-12 a_n.
 """
 
 import hashlib
@@ -48,9 +56,9 @@ COUNT_SHA256 = {
 
 ZERO_SHA256 = {
     (50, "gaussian"):
-        "17bb79fcff5aa2b63d4d2811b57d08dcfdcb89752c471341ac01c6f6127f2029",
+        "e28918b8606a1cce420ec3cfeea68c621760fe6df942787d9f11c639b5118103",
     (50, "rademacher"):
-        "f022814a4e9acdbf981179d4145380c1e556d2c10da67d2ac89bdb53b6f5a515",
+        "573088d078f1626863534ae96119cd5ec985e509aaec0c032c9efec1e5936814",
     (200, "gaussian"):
         "28317568b309671ade0e6b50f4cb0f3d6c9979c2945488664ac0a0b836a6f785",
     (200, "rademacher"):

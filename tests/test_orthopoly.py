@@ -51,6 +51,36 @@ def test_quartic_freud_equation_oracle(freud14):
     assert np.max(np.abs(tab.off_diag[:n_max] / oracle - 1.0)) <= 1e-14
 
 
+@pytest.mark.parametrize("c, lam", [(1.0, 1.5), (1.0, 3.0)])
+def test_freud_table_matches_moment_oracle(c, lam):
+    # Gautschi's Chebyshev algorithm (Orthogonal Polynomials: Computation
+    # and Approximation, 2004, sec. 2.1) from the closed-form moments of
+    # W^2 = exp(-2c|x|^lam): mu_2j = (2/lam) (2c)^(-(2j+1)/lam)
+    # Gamma((2j+1)/lam), odd ones 0, so every alpha_k is 0 and
+    #   sigma_{k,l} = sigma_{k-1,l+1} - beta_{k-1} sigma_{k-2,l},
+    #   beta_k = sigma_{k,k}/sigma_{k-1,k-1}.
+    # The algorithm loses digits geometrically, hence dps = n (n + 50 give
+    # the same floats).  It shares no code with the table's build.
+    mpmath = pytest.importorskip("mpmath")
+    n = 300
+    tab = oz.get_table(oz.make_freud(c, lam), n)
+    with mpmath.workdps(n):
+        two_c, lam_mp = 2 * mpmath.mpf(c), mpmath.mpf(lam)
+        mu = [(2 / lam_mp) * two_c ** (-(j + 1) / lam_mp)
+              * mpmath.gamma((j + 1) / lam_mp) if j % 2 == 0 else 0
+              for j in range(2 * n + 1)]
+        prev, cur, beta, b2 = [0] * (2 * n + 2), mu + [0], mu[0], []
+        for k in range(1, n + 1):
+            nxt = [0] * (2 * n + 2)
+            for l in range(k, 2 * n + 1 - k, 2):
+                nxt[l] = cur[l + 1] - beta * prev[l]
+            beta = nxt[k] / cur[k - 1]
+            b2.append(beta)
+            prev, cur = cur, nxt
+        oracle = np.array([float(mpmath.sqrt(v)) for v in b2])
+    assert np.all(np.abs(tab.off_diag - oracle) <= 2 * np.spacing(oracle))
+
+
 def test_even_weight_diagonal_exactly_zero(hermite_table_60, freud14):
     # a_k = 0 makes p_k(-x) = (-1)^k p_k(x), exactly in floating point
     x = np.array([0.3, 1.7, 4.0, 250.0])

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from orthozero import quadrature
 from orthozero.errors import BudgetError, DiscretizationError, DomainError
-from orthozero.quadrature import adaptive_gl, cheb_t_integral, gl_rule
+from orthozero.quadrature import adaptive_gl, gl_rule, refine
 
 
 def _ulps(got, want):
@@ -222,7 +222,7 @@ def test_integrators_reject_tolerance_not_above_zero(tol):
     with pytest.raises(DomainError, match="tolerance"):
         adaptive_gl(_never, 0.0, 1.0, tol=tol)
     with pytest.raises(DomainError, match="tolerance"):
-        cheb_t_integral(_never, tol=tol)
+        refine(_never, tol, 2, "rule")
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (-float("inf"), 0.0),

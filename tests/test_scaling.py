@@ -18,12 +18,27 @@ from orthozero.errors import DomainError, NonEvenWeightError, SingularityError
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5])
-@pytest.mark.parametrize("lam", [2.0, 4.0])
+@pytest.mark.parametrize("lam", [2.0, 4.0, 1.2, 1.5, 3.0, 8.0])
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_mrs_matches_freud_closed_form(c, lam, n):
+    # below 2 the radius integral has the cusp of Q' at 0, at phi = 0 of
+    # the graded rule, and must still resolve it to a few ulps
     g, _ = oz.freud_constants(lam)
     info = oz.solve_mrs(oz.make_freud(c, lam), n)
-    assert info.a_n == pytest.approx((n * g / c) ** (1.0 / lam), rel=1e-10)
+    assert info.a_n == pytest.approx((n * g / c) ** (1.0 / lam), rel=1e-14)
+    assert abs(info.residual) <= 1e-9 * n
+
+
+@pytest.mark.parametrize("lam", [8.5, 12.0, 15.5, 20.0, 20.5, 25.3, 40.7,
+                                 60.0, 100.0])
+@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+def test_mrs_solves_large_exponents(lam, n):
+    # far from the root I(a) - n reaches 1e18 n and more, where rounding
+    # alone exceeds 1e-10 n: the bisection must stop each evaluation once
+    # its sign is decided (on an absolute tol lam = 60 and 100 fail)
+    info = oz.solve_mrs(oz.make_freud(1.0, lam), n)
+    g, _ = oz.freud_constants(lam)
+    assert info.a_n == pytest.approx((n * g) ** (1.0 / lam), rel=1e-14)
     assert abs(info.residual) <= 1e-9 * n
 
 
@@ -143,11 +158,19 @@ def test_equilibrium_density_domain(freud14):
         oz.normalized_density_many(freud14, info, [1.0])
 
 
-@pytest.mark.parametrize("n", [10, 50])
-def test_sigma_mass_is_n(freud12, n):
-    info = oz.solve_mrs(freud12, n)
-    curve = oz.sigma_curve(freud12, info, tol=1e-10)
+@pytest.mark.parametrize("key, n", [
+    ("freud:1:2", 10), ("freud:1:2", 50), ("freud:1:1.5", 50),
+    ("freud:1:1.2", 50)],
+    ids=["10", "50", "freud:1:1.5-50", "freud:1:1.2-50"])
+def test_sigma_mass_is_n(key, n):
+    # below exponent 2 sigma_n has a cusp at 0; the mass must still meet
+    # tol, and err_estimate is the last pass difference, not tol plus slack
+    spec, tol = oz.parse_weight(key), 1e-10
+    info = oz.solve_mrs(spec, n)
+    curve = oz.sigma_curve(spec, info, tol=tol)
     assert abs(curve.mass - n) <= 1e-8 * n
+    assert abs(curve.mass - n) <= tol * n
+    assert 0 <= curve.err_estimate <= tol
     assert curve.target_mass == n
     assert np.all(curve.values >= 0)
     assert abs(curve.mass - curve.target_mass) <= max(curve.err_estimate, 1e-8 * n)
