@@ -26,6 +26,7 @@ from .orthopoly import (
     kernel_triple_many,
     poly_matrix,  # unused here, but perfbench's tracer rebinds this name
 )
+from .quadrature import refine_roots
 from .scaling import ScalingInfo, solve_mrs, ullman_cdf_many
 from .weights import WeightSpec
 
@@ -86,13 +87,13 @@ class CountResult:
 # grows its step by _GEO_RATIO per point and ends at the first
 # _EDGE a_n _GEO_RATIO^k beyond where the Cauchy-type far tail of the zero
 # density, ~ 2 b_n/(pi x), drops below _TAIL_MASS expected zeros.  Zeros
-# are bisected to width _BISECT_REL * a_n.  A grid of more than _MAX_GRID
-# points raises BudgetError: it is never cut short.
+# are refined to brackets of width _ZERO_WIDTH * a_n.  A grid of more than
+# _MAX_GRID points raises BudgetError: it is never cut short.
 _GRID_FACTOR = 0.1
 _EDGE = 1.02
 _TAIL_MASS = 0.02
 _GEO_RATIO = 1.12
-_BISECT_REL = 1e-12
+_ZERO_WIDTH = 1e-12
 _MAX_GRID = 2_000_000
 
 _GRID_CACHE: dict[tuple, np.ndarray] = {}
@@ -312,23 +313,17 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
                      coeffs: np.ndarray, info: ScalingInfo) -> CountResult:
     """Count real zeros of sum c_j p_j by sign changes of the weighted
     polynomial (same zeros, no overflow) on the make_count_grid grid,
-    bracketing each change and bisecting to width _BISECT_REL * a_n."""
+    bracketing each change and refining it to width _ZERO_WIDTH * a_n."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size - 1
     grid = make_count_grid(spec, info, table)
     counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
                                         info.a_n)
-    if lo.size:
-        width = _BISECT_REL * info.a_n
-        steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            sm = np.sign(combo_values(table, coeffs[None], mid[None], n)[0][0])
-            left = sl * sm < 0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            sl = np.where(left | (sm == 0), sl, sm)
-    return CountResult(count=int(counts[0]), zeros=np.sort(0.5 * (lo + hi)))
+    # value and slope mantissas share each point's exponent: V/Vd = f/f'
+    zeros = refine_roots(lambda x: combo_values(
+        table, coeffs[None], x[None], n, derivs=True)[:2], lo, hi, sl,
+        _ZERO_WIDTH * info.a_n)
+    return CountResult(count=int(counts[0]), zeros=np.sort(zeros))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Quadrature building blocks: the Gauss-Legendre rule, the one composite
 Gauss-Legendre mesh graded toward 0, refinement of a family of rules until
-two passes agree, and an adaptive Gauss-Legendre panel integrator with
-batched evaluation."""
+two passes agree, safeguarded Newton on sign-change brackets, and an
+adaptive Gauss-Legendre panel integrator with batched evaluation."""
 
 from __future__ import annotations
 
@@ -88,6 +88,47 @@ def refine(estimate, tol: float, passes: int, name: str, rel: float = 0.0):
             return val, float(diff.max())
     raise DiscretizationError(
         f"{name} did not converge to {tol:g} within {passes} passes")
+
+
+def refine_roots(fdf, lo, hi, sign_lo, width: float) -> np.ndarray:
+    """Safeguarded Newton (rtsafe; Press et al., Numerical Recipes 9.4) on
+    arrays of sign-change brackets lo < hi, sign_lo the nonzero sign of f
+    at lo; fdf(x) gives f and f' at the points x of the roots still open.
+
+    Each root starts at its bracket's midpoint, and every evaluation keeps
+    the sign change bracketed.  The next point is x - f/f' if that lies
+    strictly inside the bracket and the step is under half the one before
+    last, else the midpoint; once such a step is under width/2 it is the
+    probe x -+ width/2 just past the Newton point, which brackets the root
+    to width/2 when the step was right.  A root is done when f(x) is 0.0 or
+    its bracket is at most `width`, and is returned as the Newton point of
+    its smallest-|f| evaluation if that lies in the bracket, else as the
+    midpoint."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x, sign_lo = 0.5 * (lo + hi), np.asarray(sign_lo, dtype=float)
+    dx = np.stack([hi - lo, hi - lo])  # the last step and the one before
+    fbest, est = np.full(x.shape, np.inf), x.copy()
+    live = np.flatnonzero(hi - lo > width)
+    while live.size:
+        xs = x[live]
+        f, df = (np.asarray(v, dtype=float).reshape(xs.shape) for v in fdf(xs))
+        below = np.sign(f) == sign_lo[live]
+        l = lo[live] = np.where(below, xs, lo[live])
+        h = hi[live] = np.where(below, hi[live], xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(f == 0, 0.0, f / df)
+        nx, q = xs - s, xs - np.copysign(0.5 * width, s)
+        closer = np.abs(f) < fbest[live]
+        fbest[live[closer]], est[live[closer]] = np.abs(f[closer]), nx[closer]
+        cap = 0.5 * dx[1, live]  # under half the step before last
+        newton = (l < nx) & (nx < h) & (np.abs(s) < cap)
+        probe = (np.abs(s) < np.minimum(cap, 0.5 * width)) & (l < q) & (q < h)
+        x[live] = np.where(probe, q, np.where(newton, nx, 0.5 * (l + h)))
+        dx[:, live] = np.where(newton | probe, abs(s), (h - l) / 2), dx[0, live]
+        done, e = (f == 0) | (h - l <= width), est[live]
+        x[live[done]] = np.where((l <= e) & (e <= h), e, 0.5 * (l + h))[done]
+        live = live[~done]
+    return x
 
 
 def check_interval(lo: float, hi: float) -> tuple[float, float]:

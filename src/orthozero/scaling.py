@@ -21,9 +21,9 @@ away the inverse square roots and puts the cusp of Q' at 0 (Freud
 exponents below 2) at phi = 0.  Pass k of the rule (_phi_rule) is
 composite Gauss-Legendre of order _DD_ORDER on 8 2^k uniform panels and
 8 2^k panels halving toward phi = 0.  Every integral takes passes until two
-agree (quadrature.refine), at most _DD_PASSES of them; inside the radius
-solve's bisection an evaluation stops as soon as its last pass difference
-decides the sign of its defect.
+agree (quadrature.refine), at most _DD_PASSES of them; an evaluation of
+the radius equation's defect stops as soon as its last pass difference
+decides the defect's sign.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     NonEvenWeightError,
     SingularityError,
 )
-from .quadrature import _mesh, adaptive_gl, gl_rule, refine
+from .quadrature import _mesh, adaptive_gl, gl_rule, refine, refine_roots
 from .weights import WeightSpec
 
 # separation, relative to |x|, below which the divided difference of Q' is
@@ -105,33 +105,30 @@ def _phi_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _mrs_defect(spec: WeightSpec, a: float, n: int, tol: float) -> float:
-    """I(a) - n, I(a) the left side of the radius equation as
-    (2/pi) int_0^{pi/2} a t Q'(a t) dphi on the phi-rule.  The passes stop
-    once they agree to max(tol, |I - n|)/4: far from the root, as soon as
-    the sign of I - n is decided."""
+def _mrs_defect(spec: WeightSpec, a: float, n: int, tol: float) -> np.ndarray:
+    """(I(a) - n, I'(a)), I(a) the left side of the radius equation as
+    (2/pi) int_0^{pi/2} a t Q'(a t) dphi on the phi-rule and I'(a) from
+    d/da [a t Q'(a t)] = t Q'(a t) + a t^2 Q''(a t) on the same pass.  The
+    passes stop once the defects agree to max(tol, |I - n|)/4: far from
+    the root, as soon as the sign of I - n is decided; the slope only
+    sizes Newton steps and needs no tolerance of its own."""
     def estimate(k):
         t, w = _phi_rule(k)
         s = a * t
-        return 2.0 / math.pi * float(
-            (w * s * np.asarray(spec.q1(s), dtype=float)).sum()) - n
+        q1, q2 = (np.asarray(q(s), dtype=float) for q in (spec.q1, spec.q2))
+        return 2.0 / math.pi * np.array([float((w * s * q1).sum()), float(
+            (w * t * (q1 + s * q2)).sum())]) - (n, 0.0)
 
     return refine(estimate, tol, _DD_PASSES, "radius equation", rel=1.0)[0]
 
 
 def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
-    """Solve for the radius a_n of an even weight.
-
-    Brackets by doubling from a = 1, bisects to relative width 1e-13, then
-    tries one Newton polish using the differentiated integrand, kept only
-    when it leaves the defect no larger than at the midpoint.  The left
-    side and its derivative run on the phi-rule (see the module notes).
-    Each evaluation of the left side takes passes until two agree to
-    1e-10 n (the equation's own scale; float evaluation noise alone is
-    ~1e-13 n), or until their difference is under a quarter of the
-    distance to n, which decides the sign bisection needs; the defect
-    actually left at the returned radius is ScalingInfo.residual.
-    """
+    """Solve for the radius a_n of an even weight: bracket by doubling (or
+    halving) from a = 1, then safeguarded Newton (quadrature.refine_roots)
+    on _mrs_defect to relative width 1e-13.  Each evaluation takes phi-rule
+    passes until two agree to 1e-10 n (the equation's own scale; float
+    evaluation noise alone is ~1e-13 n) or decide the defect's sign; the
+    defect left at the returned radius is ScalingInfo.residual."""
     if not spec.even:
         raise NonEvenWeightError(
             f"{spec.label}: the radius equation is implemented for even Q only")
@@ -139,50 +136,17 @@ def solve_mrs(spec: WeightSpec, n: int) -> ScalingInfo:
         raise DomainError(f"degree must be >= 1, got {n}")
 
     itol = 1e-10 * max(1.0, n)
-
-    def obj(a: float) -> float:
-        return _mrs_defect(spec, a, n, itol)
-
-    lo, hi = 1.0, 1.0
+    step, a = (2.0 if _mrs_defect(spec, 1.0, n, itol)[0] < 0 else 0.5), 1.0
     for _ in range(200):
-        if obj(hi) >= 0:
+        if (_mrs_defect(spec, a * step, n, itol)[0] < 0) != (step > 1):
             break
-        hi *= 2.0
+        a *= step
     else:
-        raise BracketError(f"could not bracket n = {n} from above")
-    for _ in range(200):
-        if obj(lo) <= 0:
-            break
-        lo /= 2.0
-    else:
-        raise BracketError(f"could not bracket n = {n} from below")
-
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if obj(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
-    residual = obj(a)
-
-    # Newton polish: d/da [a t Q'(a t)] = t Q'(a t) + a t^2 Q''(a t)
-    def slope(k):
-        t, w = _phi_rule(k)
-        s = a * t
-        return 2.0 / math.pi * float((w * t * (
-            np.asarray(spec.q1(s), dtype=float)
-            + s * np.asarray(spec.q2(s), dtype=float))).sum())
-
-    deriv = refine(slope, itol, _DD_PASSES, "radius equation slope")[0]
-    if deriv > 0:
-        step = residual / deriv
-        if abs(step) < 0.1 * a:
-            polished = obj(a - step)
-            if abs(polished) <= abs(residual):
-                a, residual = a - step, polished
-
-    return ScalingInfo(n=n, a_n=a, residual=residual)
+        raise BracketError(f"could not bracket n = {n}")
+    lo, hi = sorted((a, a * step))
+    a = float(refine_roots(lambda x: np.transpose([_mrs_defect(
+        spec, v, n, itol) for v in x]), [lo], [hi], [-1.0], 1e-13 * hi)[0])
+    return ScalingInfo(n=n, a_n=a, residual=_mrs_defect(spec, a, n, itol)[0])
 
 
 def _divided_difference(spec: WeightSpec, s, x):

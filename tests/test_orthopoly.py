@@ -51,24 +51,66 @@ def test_quartic_freud_equation_oracle(freud14):
     assert np.max(np.abs(tab.off_diag[:n_max] / oracle - 1.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("c, lam", [(1.0, 1.5), (1.0, 3.0)])
-def test_freud_table_matches_moment_oracle(c, lam):
-    # Gautschi's Chebyshev algorithm (Orthogonal Polynomials: Computation
-    # and Approximation, 2004, sec. 2.1) from the closed-form moments of
+def _freud_moments(mpmath, c, lam, n):
     # W^2 = exp(-2c|x|^lam): mu_2j = (2/lam) (2c)^(-(2j+1)/lam)
-    # Gamma((2j+1)/lam), odd ones 0, so every alpha_k is 0 and
+    # Gamma((2j+1)/lam), odd ones 0
+    two_c, lam = 2 * mpmath.mpf(c), mpmath.mpf(lam)
+    return [(2 / lam) * two_c ** (-(j + 1) / lam) * mpmath.gamma((j + 1) / lam)
+            if j % 2 == 0 else 0 for j in range(2 * n + 1)]
+
+
+def _mixed24_moments(mpmath, n):
+    # W^2 = exp(-2x^2 - 2x^4), i.e. exp(-a x^2 - b x^4) at a = b = 2:
+    # mu_0 = (1/2) sqrt(a/b) e^z K_{1/4}(z) with z = a^2/(8b) = 1/4, and
+    # mu_2 = -d mu_0/da = -e^z (2 K_{1/4}(z) + K'_{1/4}(z))/8, where
+    # K'_nu = -(K_{nu-1} + K_{nu+1})/2 and K_{-3/4} = K_{3/4}.  By parts,
+    # (2j+1) mu_2j = 4 mu_2j+2 + 8 mu_2j+4; odd moments are 0
+    z = mpmath.mpf(1) / 4
+    k1, k3, k5 = (mpmath.besselk(mpmath.mpf(v) / 4, z) for v in (1, 3, 5))
+    even = [mpmath.exp(z) * k1 / 2,
+            -mpmath.exp(z) * (2 * k1 - (k3 + k5) / 2) / 8]
+    for j in range(n - 1):
+        even.append(((2 * j + 1) * even[j] - 4 * even[j + 1]) / 8)
+    return [even[j // 2] if j % 2 == 0 else 0 for j in range(2 * n + 1)]
+
+
+def test_mixed24_moments_match_quadrature():
+    # the closed forms of mu_0 and mu_2 and the by-parts step to mu_4,
+    # against mpmath's own quadrature, to 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu = _mixed24_moments(mpmath, 2)
+        for j in (0, 2, 4):
+            quad = mpmath.quad(lambda x: x**j * mpmath.exp(-2 * x**2 - 2 * x**4),
+                               [-mpmath.inf, 0, mpmath.inf])
+            assert abs(mu[j] / quad - 1) < mpmath.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("weight", [pytest.param("freud:1:1.5", id="1.0-1.5"),
+                                    pytest.param("freud:1:3", id="1.0-3.0"),
+                                    pytest.param("mixed24", id="mixed24")])
+def test_freud_table_matches_moment_oracle(weight, mixed24):
+    # Gautschi's Chebyshev algorithm (Orthogonal Polynomials: Computation
+    # and Approximation, 2004, sec. 2.1) from closed-form moments of two
+    # Freud weights and of the one non-Freud weight, mixed24.  Odd moments
+    # are 0, so every alpha_k is 0 and
     #   sigma_{k,l} = sigma_{k-1,l+1} - beta_{k-1} sigma_{k-2,l},
     #   beta_k = sigma_{k,k}/sigma_{k-1,k-1}.
     # The algorithm loses digits geometrically, hence dps = n (n + 50 give
-    # the same floats).  It shares no code with the table's build.
+    # the same floats for the Freud weights, 2n for mixed24).  It shares no
+    # code with the table's build.  Every b_k lies within 2 ulps (all
+    # within 1), and ln gamma_k = ln gamma_0 - sum_{j<=k} ln b_j with
+    # gamma_0 = mu_0^(-1/2) within the 8 ulps of the Hermite whole-table
+    # test (all within 1).
     mpmath = pytest.importorskip("mpmath")
     n = 300
-    tab = oz.get_table(oz.make_freud(c, lam), n)
+    spec = mixed24 if weight == "mixed24" else oz.parse_weight(weight)
+    tab = oz.get_table(spec, n)
     with mpmath.workdps(n):
-        two_c, lam_mp = 2 * mpmath.mpf(c), mpmath.mpf(lam)
-        mu = [(2 / lam_mp) * two_c ** (-(j + 1) / lam_mp)
-              * mpmath.gamma((j + 1) / lam_mp) if j % 2 == 0 else 0
-              for j in range(2 * n + 1)]
+        if weight == "mixed24":
+            mu = _mixed24_moments(mpmath, n)
+        else:
+            mu = _freud_moments(mpmath, *weight.split(":")[1:], n)
         prev, cur, beta, b2 = [0] * (2 * n + 2), mu + [0], mu[0], []
         for k in range(1, n + 1):
             nxt = [0] * (2 * n + 2)
@@ -78,7 +120,13 @@ def test_freud_table_matches_moment_oracle(c, lam):
             b2.append(beta)
             prev, cur = cur, nxt
         oracle = np.array([float(mpmath.sqrt(v)) for v in b2])
+        log_lead = [-mpmath.log(mu[0]) / 2]
+        for v in b2:
+            log_lead.append(log_lead[-1] - mpmath.log(v) / 2)
+        log_lead = np.array([float(v) for v in log_lead])
     assert np.all(np.abs(tab.off_diag - oracle) <= 2 * np.spacing(oracle))
+    ulps = np.abs(tab.log_leading - log_lead) / np.spacing(np.abs(log_lead))
+    assert np.max(ulps) <= 8
 
 
 def test_even_weight_diagonal_exactly_zero(hermite_table_60, freud14):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from orthozero import quadrature
 from orthozero.errors import BudgetError, DiscretizationError, DomainError
-from orthozero.quadrature import adaptive_gl, gl_rule, refine
+from orthozero.quadrature import adaptive_gl, gl_rule, refine, refine_roots
 
 
 def _ulps(got, want):
@@ -230,3 +230,57 @@ def test_integrators_reject_tolerance_not_above_zero(tol):
 def test_adaptive_gl_rejects_non_finite_or_empty_interval(lo, hi):
     with pytest.raises(DomainError, match="interval"):
         adaptive_gl(_never, lo, hi, tol=1e-8)
+
+
+def _cos_brackets():
+    # the zeros (k + 1/2) pi of cos, k = 0..5, in brackets of unequal sides
+    roots = (np.arange(6) + 0.5) * np.pi
+    lo, hi = roots - 0.3 - 0.1 * np.arange(6), roots + 0.7
+    return roots, lo, hi, np.sign(np.cos(lo))
+
+
+def test_refine_roots_newton_on_many_brackets():
+    roots, lo, hi, sl = _cos_brackets()
+    sizes = []
+
+    def fdf(x):
+        sizes.append(x.size)
+        return np.cos(x), -np.sin(x)
+
+    z = refine_roots(fdf, lo, hi, sl, 1e-12)
+    assert np.all(np.abs(z - roots) <= 1e-12)
+    # one call per step for all open brackets, and far fewer steps than
+    # the 40 halvings from width 1 to 1e-12
+    assert sizes[0] == roots.size and len(sizes) <= 8
+
+
+@pytest.mark.parametrize("slope", [1.0, -1e6])
+def test_refine_roots_carries_a_wrong_slope(slope):
+    # +sin has the wrong sign, so no Newton step lands inside the bracket
+    # and the safeguard bisects (41 calls).  -1e6 sin has the right sign
+    # but steps a millionth of the way: the step-halving test must turn
+    # the crawl into bisections (93 calls; a probe exempt from it crawled
+    # by width/2 per call, 23,140 calls)
+    roots, lo, hi, sl = _cos_brackets()
+    calls = []
+
+    def fdf(x):
+        calls.append(x.size)
+        return np.cos(x), slope * np.sin(x)
+
+    z = refine_roots(fdf, lo, hi, sl, 1e-12)
+    assert np.all(np.abs(z - roots) <= 1e-12)
+    assert len(calls) <= 3 * 40
+
+
+def test_refine_roots_returns_an_exact_zero():
+    # f is exactly 0.0 at the first point, the midpoint: it is the root,
+    # though the bracket is still wide
+    calls = []
+
+    def fdf(x):
+        calls.append(x.copy())
+        return x - 1.0, np.full_like(x, 3.0)
+
+    assert refine_roots(fdf, [0.0], [2.0], [-1.0], 1e-12).tolist() == [1.0]
+    assert len(calls) == 1

@@ -10,6 +10,7 @@ import pytest
 
 import orthozero as oz
 from conftest import ullman_cdf
+from orthozero import scaling
 from orthozero.errors import DomainError, NonEvenWeightError, SingularityError
 
 
@@ -49,19 +50,39 @@ def test_mrs_half_gaussian_exact(hermite):
         assert info.a_n == pytest.approx(math.sqrt(2.0 * n), rel=1e-12)
 
 
-def test_mrs_polish_never_worse_than_bisection():
-    # Q = x^2/2 with a wrong Q'' = -0.9: the Newton step comes out 20x too
-    # long.  A Q'' that makes the derivative negative skips the polish, so
-    # that weight returns the bisection midpoint itself.
+def test_mrs_newton_carries_a_wrong_slope():
+    # Q = x^2/2 with a wrong Q'' = -0.9: the Newton step comes out 10x too
+    # long; Q'' = -1e6 makes the slope negative, so no Newton step lands
+    # inside the bracket.  The safeguard still brackets the root to width.
     def half_gaussian(q2):
         return oz.make_custom(q=lambda x: 0.5 * x**2, q1=lambda x: 1.0 * x,
                               q2=lambda x: q2 + 0.0 * x,
                               even=True, alpha=2.0, label=f"q2={q2}")
     for n in (7, 100, 1000):
-        bisected = oz.solve_mrs(half_gaussian(-1e6), n)
-        polished = oz.solve_mrs(half_gaussian(-0.9), n)
-        assert bisected.residual != 0.0
-        assert abs(polished.residual) <= abs(bisected.residual)
+        for q2 in (-1e6, -0.9):
+            info = oz.solve_mrs(half_gaussian(q2), n)
+            assert info.a_n == pytest.approx(math.sqrt(2.0 * n), rel=1e-12)
+            assert abs(info.residual) <= 1e-9 * n
+
+
+@pytest.mark.parametrize("weight", ["freud:0.5:2", "freud:1:2", "freud:1:4",
+                                    "freud:1:3", "freud:1:1.5", "freud:1:1.2",
+                                    "freud:1:8"])
+def test_mrs_takes_few_defect_evaluations(monkeypatch, weight):
+    # bracketing by doubling plus safeguarded Newton: 9-16 evaluations of
+    # the defect here, where bisection to the same width took 48-57
+    calls = []
+    defect = scaling._mrs_defect
+
+    def counted(*args):
+        calls.append(args)
+        return defect(*args)
+
+    monkeypatch.setattr(scaling, "_mrs_defect", counted)
+    for n in (10, 201, 1001):
+        calls.clear()
+        oz.solve_mrs(oz.parse_weight(weight), n)
+        assert len(calls) <= 20
 
 
 def test_mrs_monotone_in_n(freud14):
