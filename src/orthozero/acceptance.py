@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from . import kac, montecarlo, orthopoly, scaling, weights
 from .errors import DomainError
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
-
-_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -39,20 +38,19 @@ def _table(key: str, n_max: int):
     return spec, orthopoly.get_table(spec, n_max)
 
 
-def _kac_over_n(n: int):
-    tag = ("kac_full", n)
-    if tag not in _cache:
-        spec, tab = _table("freud:0.5:2", max(n + 1, 1001))
-        edge = scaling.solve_mrs(spec, n + 1).a_n
-        prof = kac.expected_zeros_full(tab, n, tol=1e-6, edge=edge)
-        _cache[tag] = prof.expected_count / n
-    return _cache[tag]
+@lru_cache(maxsize=None)
+def _kac_full(n: int) -> float:
+    """Expected real-zero count of degree n on the whole line for
+    freud:0.5:2, by the Kac integral (criteria 1 and 2)."""
+    spec, tab = _table("freud:0.5:2", max(n + 1, 1001))
+    edge = scaling.solve_mrs(spec, n + 1).a_n
+    return kac.expected_zeros_full(tab, n, tol=1e-6, edge=edge).expected_count
 
 
 def criterion_1() -> CriterionResult:
     """Full-line expected count per degree approaches 1/sqrt(3)."""
-    r500 = _kac_over_n(500)
-    r1000 = _kac_over_n(1000)
+    r500 = _kac_full(500) / 500
+    r1000 = _kac_full(1000) / 1000
     d500 = abs(r500 / INV_SQRT3 - 1.0)
     d1000 = abs(r1000 / INV_SQRT3 - 1.0)
     ok = d500 <= 0.05 and d1000 <= d500
@@ -62,21 +60,18 @@ def criterion_1() -> CriterionResult:
         f"dev={d1000:.2%} (allowed 5%, non-increasing)")
 
 
+@lru_cache(maxsize=None)
 def mc_gaussian_200() -> montecarlo.McResult:
     """1000-trial Gaussian ensemble at n = 200 (shared with the tests)."""
-    if "mc200" not in _cache:
-        spec, tab = _table("freud:0.5:2", 1001)
-        _cache["mc200"] = montecarlo.mc_expected_zeros(
-            spec, tab, 200, trials=1000,
-            dist=montecarlo.CoeffDist("gaussian"), seed=0)
-    return _cache["mc200"]
+    spec, tab = _table("freud:0.5:2", 1001)
+    return montecarlo.mc_expected_zeros(
+        spec, tab, 200, trials=1000, dist=montecarlo.CoeffDist("gaussian"),
+        seed=0)
 
 
 def criterion_2() -> CriterionResult:
     """Monte Carlo mean matches the deterministic integral at n = 200."""
-    spec, tab = _table("freud:0.5:2", 1001)
-    edge = scaling.solve_mrs(spec, 201).a_n
-    det = kac.expected_zeros_full(tab, 200, tol=1e-6, edge=edge).expected_count
+    det = _kac_full(200)
     res = mc_gaussian_200()
     gap = abs(res.mean - det)
     ok = gap <= 3.0 * res.stderr
@@ -99,14 +94,12 @@ def criterion_3() -> CriterionResult:
         f"value={val:.6f}, target={target:.6f}, dev={dev:.2%} (allowed 5%)")
 
 
+@lru_cache(maxsize=None)
 def _eigen_measures(key: str, n: int, trials: int, seed: int):
-    tag = ("eig", key, n, trials, seed)
-    if tag not in _cache:
-        spec, tab = _table(key, 501)
-        _cache[tag] = montecarlo.eigen_measures(
-            tab, scaling.solve_mrs(spec, n), montecarlo.CoeffDist("gaussian"),
-            seed, trials)
-    return _cache[tag]
+    spec, tab = _table(key, 501)
+    return montecarlo.eigen_measures(
+        tab, scaling.solve_mrs(spec, n), montecarlo.CoeffDist("gaussian"),
+        seed, trials)
 
 
 def criterion_4() -> CriterionResult:

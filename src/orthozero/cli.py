@@ -182,12 +182,20 @@ def cmd_verify(ns) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _items(text: str) -> list[str]:
+    """The items of a comma list; a list with none is a usage error."""
+    items = [p for p in text.split(",") if p]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+    return [int(p) for p in _items(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+    return [float(p) for p in _items(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:

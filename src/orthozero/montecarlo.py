@@ -245,9 +245,10 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     levels below the grid; a cell it drops, or any cell of the last level,
     is declared zero-free.
 
+    A count also includes grid points where a value vanishes, x = 0 once.
     Returns (counts, (rows, lo, hi, sign at lo)), one bracket entry per
-    sign change, or (counts, None) without `brackets`; a count also
-    includes grid points where a value vanishes, x = 0 once.
+    counted zero: a sign change, or a grid point x where a value vanishes
+    as the bracket [x, x] with sign 0; (counts, None) without `brackets`.
     """
     counts = np.zeros(len(C), dtype=np.int64)
     found = []
@@ -290,7 +291,13 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
                 if side:
                     np.negative(Vd[:, c0:], out=Vd[:, c0:])
                 carry[side, :, blk] = V[:, -1:], Vd[:, -1:]
-                counts[blk] += (V[:, max(c0, side):] == 0).sum(axis=1)
+                s0 = max(c0, side)  # x = 0 is side 0's
+                hit = V[:, s0:] == 0
+                counts[blk] += hit.sum(axis=1)
+                if brackets:
+                    i, j = np.nonzero(hit)
+                    xz = walk[g - c0 + s0:g + step][j]
+                    found.append((r + i, xz, xz, np.zeros(i.size)))
                 rev = slice(None, None, 1 - 2 * side)  # ascending x
                 kept.append(level(V[:, rev], Vd[:, rev], expo[rev],
                                   walk[g - c0:g + step][rev],
@@ -301,7 +308,7 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         if rows.size == 0:
             break
         xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
-        V, Vd, expo = combo_values(table, C[rows], xs, n, derivs=True)
+        V, Vd, expo = combo_values(table, C[rows], xs, n)
         if nxt := level(V, Vd, expo, xs, rows, depth == _SUBDIV_DEPTH):
             rows, x0, x1 = nxt
     if not brackets:
@@ -309,19 +316,29 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     return counts, tuple(np.concatenate(a) for a in zip(*found))
 
 
+def _check_info(info: ScalingInfo, n: int) -> None:
+    """DomainError unless info is the scaling data for n + 1."""
+    if info.n != n + 1:
+        raise DomainError(f"info is for n = {info.n}; counting degree {n} "
+                          f"needs solve_mrs(spec, {n + 1})")
+
+
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
                      coeffs: np.ndarray, info: ScalingInfo) -> CountResult:
     """Count real zeros of sum c_j p_j by sign changes of the weighted
     polynomial (same zeros, no overflow) on the make_count_grid grid,
-    bracketing each change and refining it to width _ZERO_WIDTH * a_n."""
+    bracketing each change and refining it to width _ZERO_WIDTH * a_n;
+    a zero exactly at a grid point is that point.  info must be
+    solve_mrs(spec, n + 1)."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size - 1
+    _check_info(info, n)
     grid = make_count_grid(spec, info, table)
     counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
                                         info.a_n)
     # value and slope mantissas share each point's exponent: V/Vd = f/f'
     zeros = refine_roots(lambda x: combo_values(
-        table, coeffs[None], x[None], n, derivs=True)[:2], lo, hi, sl,
+        table, coeffs[None], x[None], n)[:2], lo, hi, sl,
         _ZERO_WIDTH * info.a_n)
     return CountResult(count=int(counts[0]), zeros=np.sort(zeros))
 
@@ -434,10 +451,11 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
                       trials: int, dist: CoeffDist, seed: int,
                       info: ScalingInfo | None = None) -> McResult:
     """Mean and standard error of the real-zero count over independent
-    trials."""
+    trials; info, if given, must be solve_mrs(spec, n + 1)."""
     check_trials(trials)
     if info is None:
         info = solve_mrs(spec, n + 1)
+    _check_info(info, n)
     grid = make_count_grid(spec, info, table)
     counts = np.zeros(trials)
     # a chunk bounds C and its sign-flipped copy, each under _BASIS_BYTES

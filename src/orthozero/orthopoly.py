@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscretizationError, DomainError
-from .quadrature import _mesh
+from .quadrature import _mesh, refine_roots
 from .scaling import ScalingInfo, equilibrium_density_many, solve_mrs
 from .weights import WeightSpec
 
@@ -104,18 +104,13 @@ class RecurrenceTable:
 
 def _support_radius(spec: WeightSpec, n_max: int) -> float:
     """1.5 a_{2 n_max}, clipped where exp(-2Q) leaves extended-precision
-    range (the clipped tail carries no representable mass)."""
+    range (the clipped tail carries no representable mass): the root of
+    Q = 5500 on [0, 1.5 a_{2 n_max}], refined to width 1e-9 of the bracket."""
     r = 1.5 * solve_mrs(spec, 2 * n_max).a_n
     if float(spec.q(np.float64(r))) <= 5500.0:
         return r
-    lo, hi = 0.0, r
-    while hi - lo > 1e-9 * r:
-        mid = 0.5 * (lo + hi)
-        if float(spec.q(np.float64(mid))) <= 5500.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(refine_roots(lambda x: (spec.q(x) - 5500.0, spec.q1(x)),
+                              [0.0], [r], [-1.0], 1e-9 * r)[0])
 
 
 def _window_edge(spec: WeightSpec, n_max: int) -> float:
@@ -435,21 +430,20 @@ def _basis_into(table: RecurrenceTable, x: np.ndarray, n: int, PD: np.ndarray):
     return PD[0], (PD[1] if len(PD) == 2 else None), expo
 
 
-def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int,
-                 derivs: bool = False):
-    """Mantissas of sum_j C[r, j] p_j (and, with `derivs`, of its derivative)
-    at the points x[r] of each coefficient row r, without storing the basis
-    matrix: C is (rows, n + 1), x is (rows, m), and (S, Sd, expo) are shaped
-    like x, Sd None without derivatives; the true value is S * 2^expo."""
+def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int):
+    """Mantissas of sum_j C[r, j] p_j and of its derivative at the points
+    x[r] of each coefficient row r, without storing the basis matrix: C is
+    (rows, n + 1), x is (rows, m), and (S, Sd, expo) are shaped like x; the
+    true value is S * 2^expo."""
     x = np.asarray(x, dtype=float)
     Ct = np.ascontiguousarray(np.transpose(C))[:, :, None]  # (n + 1, rows, 1)
-    S = np.zeros((2 if derivs else 1, *x.shape))  # values, derivatives
+    S = np.zeros((2, *x.shape))  # values, derivatives
     term = np.empty_like(S)
-    for k, (pd, factor, expo) in enumerate(_sweep(table, x.ravel(), n, derivs)):
+    for k, (pd, factor, expo) in enumerate(_sweep(table, x.ravel(), n, True)):
         if factor is not None:
             S *= factor.reshape(x.shape)
         S += np.multiply(pd.reshape(S.shape), Ct[k], out=term)
-    return S[0], (S[1] if derivs else None), expo.reshape(x.shape)
+    return S[0], S[1], expo.reshape(x.shape)
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,

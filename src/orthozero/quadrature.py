@@ -12,6 +12,8 @@ import numpy as np
 from .errors import BudgetError, DiscretizationError, DomainError
 
 _NEWTON_STEPS = 10  # gl_rule raises when its nodes need more
+_ORDER = 15  # adaptive_gl's Gauss-Legendre nodes per panel
+_MAX_PANELS = 20000  # adaptive_gl's panel budget
 
 
 @lru_cache(maxsize=32)
@@ -103,7 +105,8 @@ def refine_roots(fdf, lo, hi, sign_lo, width: float) -> np.ndarray:
     to width/2 when the step was right.  A root is done when f(x) is 0.0 or
     its bracket is at most `width`, and is returned as the Newton point of
     its smallest-|f| evaluation if that lies in the bracket, else as the
-    midpoint."""
+    midpoint: a bracket at most `width` wide from the start (lo = hi too)
+    is its midpoint, with f never evaluated there."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x, sign_lo = 0.5 * (lo + hi), np.asarray(sign_lo, dtype=float)
     dx = np.stack([hi - lo, hi - lo])  # the last step and the one before
@@ -139,73 +142,60 @@ def check_interval(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def adaptive_gl(f, lo: float, hi: float, tol: float, order: int = 15,
-                presplit=None, max_panels: int = 20000):
-    """Adaptive bisection with a fixed-order Gauss rule per panel.
+def _running_sum(start, v):
+    """start + v[0] + v[1] + ..., added one term at a time in order (numpy's
+    sum pairs terms up, which rounds differently)."""
+    return np.add.accumulate(np.concatenate(([start], v)))[-1]
+
+
+def adaptive_gl(f, lo: float, hi: float, tol: float, presplit=None):
+    """Adaptive bisection with the _ORDER-point Gauss rule per panel.
 
     `f` is evaluated in batches (one call per refinement wave, all pending
     panel nodes concatenated; the first call also holds the initial
     panels, ahead of their halves).  A panel is accepted when the two-half
-    estimate agrees with the parent estimate to its share of `tol`.
+    estimate agrees with the parent estimate to its share of `tol`;
+    accepted values and error estimates are added in panel order.  More
+    than _MAX_PANELS panels raise BudgetError with the partial value.
 
     Returns (value, err_estimate, x_samples, f_samples).
     """
     if not tol > 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     check_interval(lo, hi)
-    xg, wg = gl_rule(order)
-    xs_all: list[np.ndarray] = []
-    fs_all: list[np.ndarray] = []
-
-    def panel_values(los, his):
-        mid = 0.5 * (los + his)
-        half = 0.5 * (his - los)
-        x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        y = np.asarray(f(x), dtype=float)
-        xs_all.append(x)
-        fs_all.append(y)
-        return (y.reshape(len(los), order) * wg).sum(1) * half
-
+    xg, wg = gl_rule(_ORDER)
     edges = [lo, hi] if presplit is None else sorted({lo, hi, *(
         p for p in presplit if lo < p < hi)})
-    los = np.array(edges[:-1])
-    his = np.array(edges[1:])
-    parents = None
-    total = 0.0
-    err = 0.0
-    n_panels = los.size
-    span = hi - lo
-    while True:
+    los, his = np.array(edges[:-1]), np.array(edges[1:])
+    parents, total, err, n_panels, span = None, 0.0, 0.0, los.size, hi - lo
+    xs, ys = [], []
+    while los.size:
         mids = 0.5 * (los + his)
         # both halves of every pending panel in one batch: one f call per wave
         a, b = np.concatenate([los, mids]), np.concatenate([mids, his])
         if parents is None:
             a, b = np.concatenate([los, a]), np.concatenate([his, b])
-        vals = panel_values(a, b)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
+        ys.append(np.asarray(f(xs[-1]), dtype=float))
+        vals = (ys[-1].reshape(a.size, _ORDER) * wg).sum(1) * half
         if parents is None:
             parents, vals = vals[:los.size], vals[los.size:]
         left, right = np.split(vals, 2)
         errs = np.abs(left + right - parents)
-        next_work = []
-        for i in range(los.size):
-            if errs[i] <= tol * (his[i] - los[i]) / span or (his[i] - los[i]) < 1e-14 * span:
-                total += left[i] + right[i]
-                err += errs[i]
-            else:
-                next_work.append((los[i], mids[i], left[i]))
-                next_work.append((mids[i], his[i], right[i]))
-        n_panels += len(next_work)
-        if n_panels > max_panels:
+        done = (errs <= tol * (his - los) / span) | (his - los < 1e-14 * span)
+        total = _running_sum(total, (left + right)[done])
+        err = _running_sum(err, errs[done])
+        # the halves of each rejected panel, left then right, in panel order
+        los, his, parents = (np.stack(p, axis=1)[~done].ravel() for p in (
+            (los, mids), (mids, his), (left, right)))
+        n_panels += los.size
+        if n_panels > _MAX_PANELS:
             # salvage the current estimates so callers can report partials
-            total += sum(w[2] for w in next_work)
+            total += _running_sum(0.0, parents)
             raise BudgetError(
-                f"adaptive quadrature exceeded {max_panels} panels "
+                f"adaptive quadrature exceeded {_MAX_PANELS} panels "
                 f"(partial value {total:.6g})", partial=total, panels=n_panels)
-        if not next_work:
-            break
-        los, his, parents = (np.array(col) for col in zip(*next_work))
-
-    x = np.concatenate(xs_all)
-    y = np.concatenate(fs_all)
-    order_idx = np.argsort(x, kind="stable")
-    return total, err, x[order_idx], y[order_idx]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    idx = np.argsort(x, kind="stable")
+    return total, err, x[idx], y[idx]

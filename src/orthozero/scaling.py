@@ -84,12 +84,6 @@ class ScalingInfo:
         lo, hi = self.interval()
         return (lo + _J_EPS * self.a_n, hi - _J_EPS * self.a_n)
 
-    def rho(self, x):
-        """Square-root edge factor sqrt((x + a_n)(a_n - x)) on the support."""
-        lo, hi = self.interval()
-        x = np.asarray(x, dtype=float)
-        return np.sqrt(np.maximum((x - lo) * (hi - x), 0.0))
-
 
 @lru_cache(maxsize=_DD_PASSES)
 def _phi_rule(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -288,6 +288,22 @@ def test_verify_rejects_unknown_criterion(monkeypatch, capsys):
     assert out == "" and err.startswith("error: ") and "[99]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mrs", "--n", ","], ["verify", "--only", ","],
+    ["simulate", "--n", "10", "--trials", "2", "--partition=,"]])
+def test_empty_comma_list_exits_2(argv, monkeypatch, capsys):
+    from orthozero import acceptance, orthopoly, scaling
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (_must_not_run,) * 10)
+    for module, name in ((scaling, "solve_mrs"), (orthopoly, "get_table")):
+        monkeypatch.setattr(module, name, _must_not_run)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "empty comma list ','" in err
+
+
 def test_verify_subset():
     code, out = capture(["verify", "--only", "7"])
     assert code == 0

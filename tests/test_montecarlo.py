@@ -216,14 +216,50 @@ def test_exact_grid_zero_counted_once(hermite, hermite_table_60):
     info = oz.solve_mrs(hermite, 4)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     C = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
-    counts, (rows, lo, hi, _) = mc._brackets(hermite_table_60, C, grid, 3,
-                                             info.a_n)
+    counts, (rows, lo, hi, sl) = mc._brackets(hermite_table_60, C, grid, 3,
+                                              info.a_n)
     assert 0.0 in grid
     assert counts.tolist() == [3, 1]
-    assert rows.tolist() == [0, 0]
+    # one bracket per counted zero: x = 0 of each row as [0, 0] with sign 0
+    at = lo == hi
+    assert rows[at].tolist() == [0, 1]
+    assert not (lo[at].any() or sl[at].any())
+    assert rows[~at].tolist() == [0, 0]
     z = np.array([-1.0, 1.0]) * math.sqrt(1.5)
-    lo, hi = np.sort(lo), np.sort(hi)
+    lo, hi = np.sort(lo[~at]), np.sort(hi[~at])
     assert np.all((lo < z) & (z < hi))
+    # the counter returns the grid zero among its zeros
+    for c, want in zip(C, ([-math.sqrt(1.5), 0.0, math.sqrt(1.5)], [0.0])):
+        res = oz.count_real_zeros(hermite, hermite_table_60, c, info)
+        assert res.zeros.size == res.count
+        assert res.zeros == pytest.approx(want, abs=1e-11)
+        assert 0.0 in res.zeros
+
+
+def _grid_must_not_build(*args, **kwargs):
+    raise AssertionError("the grid was built for the wrong degree")
+
+
+@pytest.mark.parametrize("n_info", [20, 22, 2])
+def test_count_refuses_info_of_another_degree(hermite, hermite_table_60,
+                                              n_info, monkeypatch):
+    # degree 20 counts on the grid of solve_mrs(spec, 21); any other info
+    # moves the grid and the rescue edge, and is refused before either
+    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 0, 0, 20)
+    info = oz.solve_mrs(hermite, n_info)
+    monkeypatch.setattr(mc, "make_count_grid", _grid_must_not_build)
+    with pytest.raises(DomainError, match=r"solve_mrs\(spec, 21\)"):
+        oz.count_real_zeros(hermite, hermite_table_60, c, info)
+
+
+@pytest.mark.parametrize("n_info", [20, 22, 2])
+def test_mc_refuses_info_of_another_degree(hermite, hermite_table_60,
+                                           n_info, monkeypatch):
+    info = oz.solve_mrs(hermite, n_info)
+    monkeypatch.setattr(mc, "make_count_grid", _grid_must_not_build)
+    with pytest.raises(DomainError, match=r"solve_mrs\(spec, 21\)"):
+        oz.mc_expected_zeros(hermite, hermite_table_60, 20, 2,
+                             oz.CoeffDist("gaussian"), 0, info=info)
 
 
 def test_count_memory_bounded(hermite, hermite_table_1001):

@@ -88,10 +88,11 @@ def test_mixed24_moments_match_quadrature():
 
 @pytest.mark.parametrize("weight", [pytest.param("freud:1:1.5", id="1.0-1.5"),
                                     pytest.param("freud:1:3", id="1.0-3.0"),
+                                    pytest.param("freud:1:8", id="1.0-8.0"),
                                     pytest.param("mixed24", id="mixed24")])
 def test_freud_table_matches_moment_oracle(weight, mixed24):
     # Gautschi's Chebyshev algorithm (Orthogonal Polynomials: Computation
-    # and Approximation, 2004, sec. 2.1) from closed-form moments of two
+    # and Approximation, 2004, sec. 2.1) from closed-form moments of three
     # Freud weights and of the one non-Freud weight, mixed24.  Odd moments
     # are 0, so every alpha_k is 0 and
     #   sigma_{k,l} = sigma_{k-1,l+1} - beta_{k-1} sigma_{k-2,l},
@@ -101,7 +102,8 @@ def test_freud_table_matches_moment_oracle(weight, mixed24):
     # code with the table's build.  Every b_k lies within 2 ulps (all
     # within 1), and ln gamma_k = ln gamma_0 - sum_{j<=k} ln b_j with
     # gamma_0 = mu_0^(-1/2) within the 8 ulps of the Hermite whole-table
-    # test (all within 1).
+    # test (all within 1).  freud:1:8 is the one table here whose mesh
+    # radius is clipped where Q reaches 5500 (Q(1.5 a_600) = 7030).
     mpmath = pytest.importorskip("mpmath")
     n = 300
     spec = mixed24 if weight == "mixed24" else oz.parse_weight(weight)

@@ -168,7 +168,9 @@ def test_dense_scan_audit_of_fan_levels(n, trials, law, monkeypatch):
 @pytest.mark.parametrize("derivs", [True, False])
 def test_combo_values_exponents_match_poly_matrix(derivs):
     # points where the sweep rescales: past 0.92 a_n at n = 200, and the
-    # geometric tail of the grid out to its end near 34 a_n
+    # geometric tail of the grid out to its end near 34 a_n.  combo_values
+    # always carries derivatives; at these points the values-only sweep
+    # rescales at the same degrees, so that basis has its exponents too
     n = 200
     table, info, grid, _ = _setup(n, 1, "gaussian")
     xs = np.concatenate([np.linspace(0.8, 1.02, 12) * info.a_n, grid[-12:],
@@ -177,8 +179,7 @@ def test_combo_values_exponents_match_poly_matrix(derivs):
     assert np.unique(expo).size >= 3  # rescales at 256, 1024 and 1280
     Ct = np.random.default_rng(3).standard_normal((n + 1, xs.size))
     # one coefficient row per point
-    S, Sd, e = orthopoly.combo_values(table, Ct.T, xs[:, None], n,
-                                      derivs=derivs)
+    S, Sd, e = orthopoly.combo_values(table, Ct.T, xs[:, None], n)
     assert np.array_equal(e[:, 0], expo)
     assert np.allclose(S[:, 0], np.einsum("ji,ji->i", Ct, P), rtol=1e-9,
                        atol=0)

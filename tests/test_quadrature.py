@@ -117,14 +117,15 @@ def test_gl_rule_raises_when_newton_does_not_converge(monkeypatch):
         quadrature.gl_rule.__wrapped__(24)
 
 
-def test_adaptive_gl_budget_error_carries_partials():
+def test_adaptive_gl_budget_error_carries_partials(monkeypatch):
     # 1/sqrt|x| never meets the tolerance near its singularity, so a
     # 10-panel budget runs out; the salvaged value is a usable estimate
     def f(x):
         return 1.0 / np.sqrt(np.abs(x))
 
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
     with pytest.raises(BudgetError) as info:
-        adaptive_gl(f, -1.0, 1.0, tol=1e-12, presplit=[0.0], max_panels=10)
+        adaptive_gl(f, -1.0, 1.0, tol=1e-12, presplit=[0.0])
     err = info.value
     assert err.panels > 10
     assert err.partial == pytest.approx(4.0, rel=0.05)
@@ -188,8 +189,7 @@ def test_adaptive_gl_one_call_per_refinement_wave():
         return g(x)
 
     presplit = [-1.0, 0.0, 0.5]
-    val, err, xs, ys = adaptive_gl(f, -4.0, 4.0, tol=1e-11, order=order,
-                                   presplit=presplit)
+    val, err, xs, ys = adaptive_gl(f, -4.0, 4.0, tol=1e-11, presplit=presplit)
     ref_val, ref_err, ref_xs, ref_ys, ref_calls = _halves_separately(
         f, -4.0, 4.0, 1e-11, order, presplit)
     waves = (ref_calls - 1) // 2

@@ -116,8 +116,6 @@ def test_scaling_accessors(hermite):
     assert (lo, hi) == (-info.a_n, info.a_n)
     jlo, jhi = info.j_interval()
     assert jlo == pytest.approx(-0.95 * info.a_n)
-    assert info.rho(0.0) == pytest.approx(info.a_n)
-    assert info.rho(info.a_n) == 0.0
 
 
 # ---------------------------------------------------------------------------
