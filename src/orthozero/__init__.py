@@ -46,13 +46,11 @@ from .orthopoly import (
     universality_ratios,
 )
 from .scaling import (
-    DensityCurve,
     ScalingInfo,
     equilibrium_density_many,
     freud_constants,
     normalized_density_many,
-    sigma_curve,
-    sigma_star_curve,
+    sigma_mass,
     solve_mrs,
     ullman_cdf_many,
     ullman_density,

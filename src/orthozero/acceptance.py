@@ -187,8 +187,8 @@ def criterion_8() -> CriterionResult:
                 info = scaling.solve_mrs(spec, n)
                 a_exact = (n * g / c) ** (1.0 / lam)
                 worst_a = max(worst_a, abs(info.a_n / a_exact - 1.0))
-                curve = scaling.sigma_star_curve(spec, info, tol=1e-10)
-                worst_mass = max(worst_mass, abs(curve.mass - 1.0))
+                mass, _ = scaling.sigma_mass(spec, info, tol=1e-10 * info.n)
+                worst_mass = max(worst_mass, abs(mass / info.n - 1.0))
     ok = worst_a <= 1e-10 and worst_mass <= 1e-8
     return CriterionResult(
         8, "radius closed form and equilibrium masses", ok,

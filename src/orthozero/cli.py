@@ -182,20 +182,27 @@ def cmd_verify(ns) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _items(text: str) -> list[str]:
-    """The items of a comma list; a list with none is a usage error."""
+def _items(text: str, kind, noun: str) -> list:
+    """The items of a comma list as `kind`; a list with none, or an item
+    that is not `noun`, is a usage error naming it."""
     items = [p for p in text.split(",") if p]
     if not items:
         raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
-    return items
+    out = []
+    for p in items:
+        try:
+            out.append(kind(p))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{p!r} is not {noun}") from None
+    return out
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in _items(text)]
+    return _items(text, int, "an integer")
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(p) for p in _items(text)]
+    return _items(text, float, "a number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gaussian | rademacher | uniform")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--partition", type=_float_list,
-                    help="comma list of interval edges in [-1, 1]; use "
+                    help="comma list of finite increasing interval edges "
+                         "on the scaled line, beyond +-1 too; use "
                          "--partition=-1,0,1 when the first edge is negative")
     sp.set_defaults(func=cmd_simulate)
 

@@ -209,9 +209,7 @@ def monomial_density(x, n: int) -> np.ndarray:
             C[far] = (n * n * un * uf * uf
                       - (2.0 * n * n + 2.0 * n - 1.0) * un * uf
                       + (n + 1.0) ** 2 * un - uf - 1.0) / (d * d * d)
-        B = xi * S1
-        disc = np.maximum(A * C - B * B, 0.0)
-        out[inner] = np.sqrt(disc) / (np.pi * A)
+        out[inner] = kac_density(A, xi * S1, C)
     return out
 
 
@@ -233,7 +231,7 @@ def expected_zeros_monomial(n: int, interval: tuple[float, float] | None = None,
             samples_x=xs, samples_density=fs, expected_count=4.0 * val,
             quadrature_error=4.0 * err)
     lo, hi = float(interval[0]), float(interval[1])
-    presplit = [p for p in (-1.0, 0.0, 1.0)]
-    val, err, xs, fs = adaptive_gl(f, lo, hi, tol=tol, presplit=presplit)
+    val, err, xs, fs = adaptive_gl(f, lo, hi, tol=tol,
+                                   presplit=[-1.0, 0.0, 1.0])
     return ZeroDensityProfile(samples_x=xs, samples_density=fs,
                               expected_count=val, quadrature_error=err)

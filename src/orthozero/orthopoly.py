@@ -57,6 +57,9 @@ _TRIG = 2.0**250
 _RESCALE = 2.0**-256
 _SCALE_LOG2 = 256
 _MAX = np.maximum.reduce  # ndarray.max without its Python wrapper
+# a degree at which every sweep rescales every point (None: never); tests set
+# it to check that derived ratios are invariant bit for bit
+_FORCE_RESCALE_AT = None
 # bytes one block of a float64 basis matrix may take: the Gram audit and the
 # zero counter's grid level evaluate their points in blocks of this size
 _BASIS_BYTES = 4_000_000
@@ -324,8 +327,7 @@ def load_table(path) -> RecurrenceTable:
 # the recurrence sweep and its reductions
 
 
-def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
-           force_rescale_at: int | None = None):
+def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool):
     """Run the recurrence at every point of the 1-D float array x; iterate
     k = 0..n over (pd, factor, expo).
 
@@ -342,15 +344,14 @@ def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
     in place, and the yielded arrays are working buffers: copy what must
     outlive the step.
 
-    Without `derivs` only values trigger a rescale.  `force_rescale_at`
-    rescales every point at that degree, a test hook: derived ratios stay
-    invariant bit for bit.  The degree is checked before iteration starts,
-    so callers may size their output by n.
+    Without `derivs` only values trigger a rescale.  _FORCE_RESCALE_AT is
+    read once per sweep.  The degree is checked before iteration starts, so
+    callers may size their output by n.
     """
     if not 0 <= n <= table.n_max:
         raise DomainError(
             f"degree {n} outside 0..{table.n_max}, the table's n_max")
-    off = table.off_diag
+    off, force = table.off_diag, _FORCE_RESCALE_AT
 
     def steps():
         expo = np.zeros(x.size, dtype=np.int64)
@@ -368,9 +369,9 @@ def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
             factor = None
             # a NaN maximum (non-finite x) falls through to the per-point test
             if (not _MAX(np.abs(nxt, out=tmp), axis=None, initial=0.0) <= _TRIG
-                    or k == force_rescale_at):
+                    or k == force):
                 big = (tmp > _TRIG).any(axis=0)
-                if k == force_rescale_at:
+                if k == force:
                     big[:] = True
                 if big.any():
                     factor = np.where(big, _RESCALE, 1.0)
@@ -383,21 +384,17 @@ def _sweep(table: RecurrenceTable, x: np.ndarray, n: int, derivs: bool,
     return steps()
 
 
-def kernel_triple_many(table: RecurrenceTable, x, n: int,
-                       force_rescale_at: int | None = None):
+def kernel_triple_many(table: RecurrenceTable, x, n: int):
     """Diagonal kernel sums K_{n+1}, K^{(0,1)}_{n+1}, K^{(1,1)}_{n+1}:
     A = sum p_j^2, B = sum p_j p_j', C = sum p_j'^2 over j = 0..n at an
     array of points.  Returns the mantissas A, B, C and per-point exponents
     e2; the true sums are A * 2^e2 (likewise B and C).
-
-    `force_rescale_at` is passed to the sweep (a test hook).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     acc = np.zeros((3, x.size))  # rows A, C, B
     sq = np.empty((2, x.size))
     AC, B = acc[:2], acc[2]
-    for pd, factor, expo in _sweep(table, x, n, derivs=True,
-                                   force_rescale_at=force_rescale_at):
+    for pd, factor, expo in _sweep(table, x, n, derivs=True):
         if factor is not None:
             acc *= factor * factor
         AC += np.multiply(pd, pd, out=sq)

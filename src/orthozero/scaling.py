@@ -58,7 +58,8 @@ _J_EPS = 0.05
 
 @dataclass(frozen=True)
 class ScalingInfo:
-    """Support radius and contraction map for one degree.
+    """Support radius for one degree; `expand` maps [-1, 1] onto the
+    support, undoing the contraction x -> x / a_n.
 
     Only even Q is supported, so the support is [-a_n, a_n].
     ``residual`` is the defect of the defining equation at the returned
@@ -69,19 +70,13 @@ class ScalingInfo:
     a_n: float
     residual: float
 
-    def contract(self, x):
-        return np.asarray(x, dtype=float) / self.a_n
-
     def expand(self, s):
         return self.a_n * np.asarray(s, dtype=float)
-
-    def interval(self) -> tuple[float, float]:
-        return (-self.a_n, self.a_n)
 
     def j_interval(self) -> tuple[float, float]:
         """The support shrunk by _J_EPS a_n at each end, where the kernel
         asymptotics are uniform."""
-        lo, hi = self.interval()
+        lo, hi = -self.a_n, self.a_n
         return (lo + _J_EPS * self.a_n, hi - _J_EPS * self.a_n)
 
 
@@ -200,48 +195,20 @@ def normalized_density_many(spec: WeightSpec, info: ScalingInfo, s,
         spec, info, info.expand(s), tol=inner_tol)
 
 
-@dataclass(frozen=True)
-class DensityCurve:
-    """A sampled density with its quadrature mass and error estimate."""
-
-    x: np.ndarray
-    values: np.ndarray
-    mass: float
-    err_estimate: float
-    target_mass: float
-
-
-def sigma_curve(spec: WeightSpec, info: ScalingInfo,
-                tol: float = 1e-8) -> DensityCurve:
-    """sigma_n on the support, with its mass 2 a_n int_0^{pi/2}
+def sigma_mass(spec: WeightSpec, info: ScalingInfo,
+               tol: float = 1e-8) -> tuple[float, float]:
+    """The mass of sigma_n, n in theory, as 2 a_n int_0^{pi/2}
     sigma_n(a_n t) cos(phi) dphi on the phi-rule (t = sin(phi)), each
-    sigma_n value to `tol`.  The mass takes passes until two agree to
-    tol/4; err_estimate is that last pass difference, and the samples are
-    the last pass's nodes, mirrored onto both halves."""
+    sigma_n value to `tol`, and its error estimate.  Passes are taken
+    until two agree to tol/4; the estimate is that last pass difference."""
     a = info.a_n
-    samples = []
 
     def mass(k):
         t, w = _phi_rule(k)
         vals = equilibrium_density_many(spec, info, a * t, tol=tol)
-        samples.append((t, vals))
         return 2.0 * a * float((w * vals * np.sqrt((1.0 - t) * (1.0 + t))).sum())
 
-    total, err = refine(mass, tol, _DD_PASSES, "equilibrium mass")
-    t, vals = samples[-1]
-    return DensityCurve(x=a * np.concatenate([-t[::-1], t]),
-                        values=np.concatenate([vals[::-1], vals]),
-                        mass=total, err_estimate=err, target_mass=float(info.n))
-
-
-def sigma_star_curve(spec: WeightSpec, info: ScalingInfo,
-                     tol: float = 1e-8) -> DensityCurve:
-    inner = sigma_curve(spec, info, tol=tol * info.n)
-    scale = info.a_n / info.n
-    return DensityCurve(x=info.contract(inner.x), values=scale * inner.values,
-                        mass=inner.mass / info.n,
-                        err_estimate=inner.err_estimate / info.n,
-                        target_mass=1.0)
+    return refine(mass, tol, _DD_PASSES, "equilibrium mass")
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +286,14 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
 def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
     """Vectorized CDF on a fixed two-panel Gauss rule (used by the KS
     statistic, absolute error well below 1e-8 away from b ~ 0 and bounded by
-    the vanishing local mass there)."""
+    the vanishing local mass there), in the shape of xs."""
     if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     xs = np.asarray(xs, dtype=float)
     if alpha == math.inf:
         return (np.arcsin(np.clip(xs, -1.0, 1.0)) + np.pi / 2.0) / np.pi
-    b = np.clip(np.abs(xs), 0.0, 1.0)[:, None]
+    flat = xs.ravel()
+    b = np.clip(np.abs(flat), 0.0, 1.0)[:, None]
     ug, wg = gl_rule(100)
     cut = np.minimum(0.5, np.maximum(5.0 * b, 0.02))
     out = np.zeros_like(b)
@@ -342,4 +310,4 @@ def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
         out += (integ * wg[None, :]).sum(axis=1, keepdims=True) * half
     half_mass = 0.5 * b[:, 0] ** alpha + alpha / np.pi * out[:, 0]
     half_mass[b[:, 0] >= 1.0] = 0.5
-    return 0.5 + np.sign(xs) * half_mass
+    return (0.5 + np.sign(flat) * half_mass).reshape(xs.shape)

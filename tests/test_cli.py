@@ -288,10 +288,8 @@ def test_verify_rejects_unknown_criterion(monkeypatch, capsys):
     assert out == "" and err.startswith("error: ") and "[99]" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["mrs", "--n", ","], ["verify", "--only", ","],
-    ["simulate", "--n", "10", "--trials", "2", "--partition=,"]])
-def test_empty_comma_list_exits_2(argv, monkeypatch, capsys):
+def _usage_error(argv, monkeypatch, capsys):
+    """stderr of a run that must exit 2 before any criterion or table."""
     from orthozero import acceptance, orthopoly, scaling
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (_must_not_run,) * 10)
@@ -301,7 +299,26 @@ def test_empty_comma_list_exits_2(argv, monkeypatch, capsys):
         run(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "empty comma list ','" in err
+    assert out == ""
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mrs", "--n", ","], ["verify", "--only", ","],
+    ["simulate", "--n", "10", "--trials", "2", "--partition=,"]])
+def test_empty_comma_list_exits_2(argv, monkeypatch, capsys):
+    assert "empty comma list ','" in _usage_error(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["mrs", "--n", "1,a"], "'a' is not an integer"),
+    (["verify", "--only", "1,2.5"], "'2.5' is not an integer"),
+    (["simulate", "--n", "10", "--trials", "2", "--partition=1,x"],
+     "'x' is not a number")], ids=["mrs", "verify", "simulate"])
+def test_malformed_comma_item_is_named(argv, bad, monkeypatch, capsys):
+    err = _usage_error(argv, monkeypatch, capsys)
+    assert bad in err
+    assert "_int_list" not in err and "_float_list" not in err
 
 
 def test_verify_subset():

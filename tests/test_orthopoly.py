@@ -362,11 +362,12 @@ def test_kernel_even_weight_b_vanishes_at_origin(hermite_table_60):
     assert B[0] == 0.0
 
 
-def test_forced_rescale_is_invisible(hermite_table_60):
+def test_forced_rescale_is_invisible(hermite_table_60, monkeypatch):
     for x in (0.4, 2.0, 5.5):
         A1, B1, C1, e1 = oz.kernel_triple_many(hermite_table_60, [x], 50)
-        A2, B2, C2, e2 = oz.kernel_triple_many(hermite_table_60, [x], 50,
-                                               force_rescale_at=25)
+        with monkeypatch.context() as m:
+            m.setattr(orthopoly, "_FORCE_RESCALE_AT", 25)
+            A2, B2, C2, e2 = oz.kernel_triple_many(hermite_table_60, [x], 50)
         d1 = math.sqrt(max(A1[0] * C1[0] - B1[0] ** 2, 0.0)) / (math.pi * A1[0])
         d2 = math.sqrt(max(A2[0] * C2[0] - B2[0] ** 2, 0.0)) / (math.pi * A2[0])
         assert d1.hex() == d2.hex()

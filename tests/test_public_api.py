@@ -17,8 +17,8 @@ def test_public_api_is_exactly_these():
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == [
         "BracketError", "BudgetError", "CoeffDist", "CountResult",
-        "DegenerateSampleError", "DensityCurve", "DiscretizationError",
-        "DomainError", "EmpiricalMeasure", "McResult", "NonEvenWeightError",
+        "DegenerateSampleError", "DiscretizationError", "DomainError",
+        "EmpiricalMeasure", "McResult", "NonEvenWeightError",
         "RecurrenceTable", "ScalingInfo", "SingularityError", "WeightSpec",
         "ZeroDensityProfile", "all_zeros", "build_recurrence",
         "comrade_matrix", "count_real_zeros", "eigen_measures",
@@ -28,9 +28,8 @@ def test_public_api_is_exactly_these():
         "load_table", "make_count_grid", "make_custom", "make_freud",
         "mc_expected_zeros", "monomial_density", "normalized_density_many",
         "parse_weight", "poly_matrix", "sample_coeffs", "save_table",
-        "scaled_expected_zeros", "sigma_curve", "sigma_star_curve",
-        "solve_mrs", "ullman_cdf_many", "ullman_density",
-        "universality_ratios",
+        "scaled_expected_zeros", "sigma_mass", "solve_mrs",
+        "ullman_cdf_many", "ullman_density", "universality_ratios",
     ]
 
 

@@ -101,19 +101,18 @@ def test_mrs_rejects_non_even():
 
 
 def test_contract_expand_inverse(hermite):
+    # the contraction onto [-1, 1] is x / a_n, and expand undoes it
     info = oz.solve_mrs(hermite, 50)
     for x in (-info.a_n, 0.0, info.a_n, 3.7):
-        assert info.expand(info.contract(x)) == pytest.approx(x, abs=1e-12)
-    assert info.contract(info.a_n) == pytest.approx(1.0)
-    assert info.contract(-info.a_n) == pytest.approx(-1.0)
-    assert info.contract(5.0) == pytest.approx(0.5)  # a_50 = 10
-    assert info.expand(info.contract(2.2)) == pytest.approx(2.2)
+        assert info.expand(x / info.a_n) == pytest.approx(x, abs=1e-12)
+    assert info.expand(1.0) == pytest.approx(info.a_n)
+    assert info.expand(-1.0) == pytest.approx(-info.a_n)
+    assert info.expand(0.5) == pytest.approx(5.0)  # a_50 = 10
+    assert info.expand(2.2 / info.a_n) == pytest.approx(2.2)
 
 
 def test_scaling_accessors(hermite):
     info = oz.solve_mrs(hermite, 50)
-    lo, hi = info.interval()
-    assert (lo, hi) == (-info.a_n, info.a_n)
     jlo, jhi = info.j_interval()
     assert jlo == pytest.approx(-0.95 * info.a_n)
 
@@ -186,13 +185,16 @@ def test_sigma_mass_is_n(key, n):
     # tol, and err_estimate is the last pass difference, not tol plus slack
     spec, tol = oz.parse_weight(key), 1e-10
     info = oz.solve_mrs(spec, n)
-    curve = oz.sigma_curve(spec, info, tol=tol)
-    assert abs(curve.mass - n) <= 1e-8 * n
-    assert abs(curve.mass - n) <= tol * n
-    assert 0 <= curve.err_estimate <= tol
-    assert curve.target_mass == n
-    assert np.all(curve.values >= 0)
-    assert abs(curve.mass - curve.target_mass) <= max(curve.err_estimate, 1e-8 * n)
+    mass, err = oz.sigma_mass(spec, info, tol=tol)
+    assert abs(mass - n) <= 1e-8 * n
+    assert abs(mass - n) <= tol * n
+    assert 0 <= err <= tol
+    assert abs(mass - n) <= max(err, 1e-8 * n)
+    # sigma_n is non-negative on both halves of phi-rule pass 3, the last
+    # pass the mass takes below exponent 2 (pass 1 at exponent 2)
+    t, _ = scaling._phi_rule(3)
+    x = info.a_n * np.concatenate([-t[::-1], t])
+    assert np.all(oz.equilibrium_density_many(spec, info, x, tol=tol) >= 0)
 
 
 def test_sigma_star_semicircle_exact(hermite):
@@ -203,8 +205,8 @@ def test_sigma_star_semicircle_exact(hermite):
             exact = 2.0 / math.pi * math.sqrt(1.0 - s * s)
             assert oz.normalized_density_many(hermite, info, [s])[0] == \
                 pytest.approx(exact, abs=1e-10)
-        curve = oz.sigma_star_curve(hermite, info, tol=1e-10)
-        assert curve.mass == pytest.approx(1.0, abs=1e-8)
+        mass = oz.sigma_mass(hermite, info, tol=1e-10 * n)[0] / n
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sigma_star_converges_to_limit_freud(freud12, freud14):
@@ -495,6 +497,20 @@ def test_ullman_cdf_many_matches_scalar():
         fast = oz.ullman_cdf_many(alpha, xs)
         slow = np.array([ullman_cdf(alpha, float(x)) for x in xs])
         assert np.max(np.abs(fast - slow)) <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [2.0, math.inf], ids=["2", "inf"])
+def test_ullman_cdf_many_keeps_the_shape(alpha):
+    # a scalar and a 2-D array give the 1-D results bit for bit
+    xs = np.linspace(-1.2, 1.2, 24)
+    flat = oz.ullman_cdf_many(alpha, xs)
+    grid = oz.ullman_cdf_many(alpha, xs.reshape(4, 6))
+    assert grid.shape == (4, 6)
+    assert grid.ravel().tobytes() == flat.tobytes()
+    for x, want in zip(xs, flat):
+        got = oz.ullman_cdf_many(alpha, x)
+        assert np.shape(got) == ()
+        assert float(got).hex() == float(want).hex()
 
 
 def test_freud_constants_values():

@@ -120,11 +120,12 @@ def _points(spec, n):
 @pytest.mark.parametrize("n", _NS)
 @pytest.mark.parametrize("derivs", [False, True])
 @pytest.mark.parametrize("force", [None, 1, "mid", "last"])
-def test_sweep_steps_match_reference(case, n, derivs, force):
+def test_sweep_steps_match_reference(case, n, derivs, force, monkeypatch):
     table, spec = case
     x = _points(spec, n)
     at = {"mid": n // 2, "last": n}.get(force, force)
-    new = orthopoly._sweep(table, x, n, derivs, force_rescale_at=at)
+    monkeypatch.setattr(orthopoly, "_FORCE_RESCALE_AT", at)
+    new = orthopoly._sweep(table, x, n, derivs)
     for k, (ref, got) in enumerate(zip(_ref_sweep(table, x, n, derivs, at),
                                        new)):
         p, d, big, expo = ref
@@ -140,11 +141,12 @@ def test_sweep_steps_match_reference(case, n, derivs, force):
 
 @pytest.mark.parametrize("n", _NS)
 @pytest.mark.parametrize("force", [None, 1, "mid", "last"])
-def test_kernel_triple_matches_reference(case, n, force):
+def test_kernel_triple_matches_reference(case, n, force, monkeypatch):
     table, spec = case
     x = _points(spec, n)
     at = {"mid": n // 2, "last": n}.get(force, force)
-    got = oz.kernel_triple_many(table, x, n, force_rescale_at=at)
+    monkeypatch.setattr(orthopoly, "_FORCE_RESCALE_AT", at)
+    got = oz.kernel_triple_many(table, x, n)
     ref = _ref_kernel_triple(table, x, n, at)
     assert all(_same_bits(g, r) for g, r in zip(got, ref))
 
