@@ -216,12 +216,11 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Diagonal kernel ratios against the universality limits at n=200."""
     spec, tab = _table("freud:0.5:2", 1001)
-    info = scaling.solve_mrs(spec, 201)
     a200 = scaling.solve_mrs(spec, 200).a_n
     pi23 = math.pi**2 / 3.0
     worst00 = worst11 = 0.0
     for x in (0.0, 0.4 * a200, -0.4 * a200):
-        r00, _, r11 = orthopoly.universality_ratios(spec, tab, info, x)
+        r00, _, r11 = orthopoly.universality_ratios(spec, tab, 200, x)
         worst00 = max(worst00, abs(r00 - 1.0))
         worst11 = max(worst11, abs(r11 - pi23))
     ok = worst00 <= 0.05 and worst11 <= 0.15 * pi23

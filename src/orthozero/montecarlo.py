@@ -223,7 +223,7 @@ def _rescue_cells(V: np.ndarray, Vd: np.ndarray, expo: np.ndarray,
 
 
 def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
-              n: int, a_n: float, brackets: bool = True):
+              a_n: float, brackets: bool = True):
     """Zero counts and brackets for a block of coefficient rows.
 
     Level 0 is the grid.  By the mirror symmetry that make_count_grid
@@ -250,6 +250,7 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     counted zero: a sign change, or a grid point x where a value vanishes
     as the bracket [x, x] with sign 0; (counts, None) without `brackets`.
     """
+    n = C.shape[1] - 1
     counts = np.zeros(len(C), dtype=np.int64)
     found = []
 
@@ -277,7 +278,7 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     kept = []
     for g in range(0, h + 1, step):
         x = walks[0][g:g + step]
-        P, D, e = _basis_into(table, x, n, PD[:2 * (n + 1) * x.size]
+        P, D, e = _basis_into(table, x, PD[:2 * (n + 1) * x.size]
                               .reshape(2, n + 1, x.size))
         c0 = min(g, 1)  # the carried column, past the first block
         xs, expo = walks[0][g - c0:g + step], np.concatenate((expo[-1:], e))
@@ -308,7 +309,7 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
         if rows.size == 0:
             break
         xs = x0[:, None] + (x1 - x0)[:, None] * frac[None, :]
-        V, Vd, expo = combo_values(table, C[rows], xs, n)
+        V, Vd, expo = combo_values(table, C[rows], xs)
         if nxt := level(V, Vd, expo, xs, rows, depth == _SUBDIV_DEPTH):
             rows, x0, x1 = nxt
     if not brackets:
@@ -316,29 +317,30 @@ def _brackets(table: RecurrenceTable, C: np.ndarray, grid: np.ndarray,
     return counts, tuple(np.concatenate(a) for a in zip(*found))
 
 
-def _check_info(info: ScalingInfo, n: int) -> None:
-    """DomainError unless info is the scaling data for n + 1."""
-    if info.n != n + 1:
-        raise DomainError(f"info is for n = {info.n}; counting degree {n} "
-                          f"needs solve_mrs(spec, {n + 1})")
+def _coeff_vector(coeffs) -> np.ndarray:
+    """coeffs as a float array, refused unless finite, 1-D and nonzero."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise DomainError("coefficients must be a finite 1-D array")
+    if not c.any():
+        raise DegenerateSampleError("all coefficients vanish")
+    return c
 
 
 def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
-                     coeffs: np.ndarray, info: ScalingInfo) -> CountResult:
-    """Count real zeros of sum c_j p_j by sign changes of the weighted
-    polynomial (same zeros, no overflow) on the make_count_grid grid,
-    bracketing each change and refining it to width _ZERO_WIDTH * a_n;
-    a zero exactly at a grid point is that point.  info must be
-    solve_mrs(spec, n + 1)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.size - 1
-    _check_info(info, n)
+                     coeffs: np.ndarray) -> CountResult:
+    """Count real zeros of sum c_j p_j, j = 0..n, on the make_count_grid
+    grid of solve_mrs(spec, n + 1) by sign changes of the unweighted sum's
+    mantissas from the recurrence sweep (same signs, no overflow), each
+    bracketed and refined to width _ZERO_WIDTH * a_n; a zero exactly at a
+    grid point is that point."""
+    coeffs = _coeff_vector(coeffs)
+    info = solve_mrs(spec, coeffs.size)  # n + 1
     grid = make_count_grid(spec, info, table)
-    counts, (_, lo, hi, sl) = _brackets(table, coeffs[None, :], grid, n,
-                                        info.a_n)
+    counts, (_, lo, hi, sl) = _brackets(table, coeffs[None], grid, info.a_n)
     # value and slope mantissas share each point's exponent: V/Vd = f/f'
     zeros = refine_roots(lambda x: combo_values(
-        table, coeffs[None], x[None], n)[:2], lo, hi, sl,
+        table, coeffs[None], x[None])[:2], lo, hi, sl,
         _ZERO_WIDTH * info.a_n)
     return CountResult(count=int(counts[0]), zeros=np.sort(zeros))
 
@@ -350,14 +352,10 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
 def comrade_matrix(table: RecurrenceTable, coeffs: np.ndarray) -> np.ndarray:
     """Comrade matrix of sum c_j p_j after degree reduction: the n x n
     Jacobi matrix with its final row perturbed by -(b_n/c_n) c_0..c_{n-1}."""
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        raise DegenerateSampleError("all coefficients vanish")
-    n = int(nz[-1])
+    c = _coeff_vector(coeffs)
+    n = int(np.flatnonzero(c)[-1])
     if n == 0:
         raise DegenerateSampleError("constant polynomial has no zeros")
-    c = c[: n + 1]
     M = np.zeros((n, n))
     off = table.off_diag
     k = np.arange(1, n)
@@ -455,7 +453,8 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     check_trials(trials)
     if info is None:
         info = solve_mrs(spec, n + 1)
-    _check_info(info, n)
+    elif info.n != n + 1:
+        raise DomainError(f"degree {n} needs info = solve_mrs(spec, {n + 1})")
     grid = make_count_grid(spec, info, table)
     counts = np.zeros(trials)
     # a chunk bounds C and its sign-flipped copy, each under _BASIS_BYTES
@@ -463,7 +462,7 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     for t0 in range(0, trials, chunk):
         t1 = min(t0 + chunk, trials)
         C = np.stack([sample_coeffs(dist, seed, t, n) for t in range(t0, t1)])
-        counts[t0:t1], _ = _brackets(table, C, grid, n, info.a_n,
+        counts[t0:t1], _ = _brackets(table, C, grid, info.a_n,
                                      brackets=False)
     mean = float(np.mean(counts))
     stderr = float(np.std(counts, ddof=1) / math.sqrt(trials))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DiscretizationError, DomainError
 from .quadrature import _mesh, refine_roots
-from .scaling import ScalingInfo, equilibrium_density_many, solve_mrs
+from .scaling import equilibrium_density_many, solve_mrs
 from .weights import WeightSpec
 
 # mantissas are renormalized once they pass 2^250; the factor 2^-256 is exact
@@ -215,7 +215,7 @@ def _gram_residual(spec: WeightSpec, table: RecurrenceTable, R: float,
     gram = [0.0, 0.0]  # even and odd degrees
     for i in range(0, x.size, step):
         xb = x[i:i + step]
-        T, _, expo = _basis_into(table, xb, n_check, buf[
+        T, _, expo = _basis_into(table, xb, buf[
             :(n_check + 1) * xb.size].reshape(1, n_check + 1, xb.size))
         qx = np.asarray(spec.q(xb), dtype=float)
         T *= np.exp(expo * math.log(2.0) - qx) * w[i:i + step]  # p_j W
@@ -388,18 +388,18 @@ def kernel_triple_many(table: RecurrenceTable, x, n: int):
     """Diagonal kernel sums K_{n+1}, K^{(0,1)}_{n+1}, K^{(1,1)}_{n+1}:
     A = sum p_j^2, B = sum p_j p_j', C = sum p_j'^2 over j = 0..n at an
     array of points.  Returns the mantissas A, B, C and per-point exponents
-    e2; the true sums are A * 2^e2 (likewise B and C).
+    e2 in the shape of x; the true sums are A * 2^e2 (likewise B and C).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     acc = np.zeros((3, x.size))  # rows A, C, B
     sq = np.empty((2, x.size))
     AC, B = acc[:2], acc[2]
-    for pd, factor, expo in _sweep(table, x, n, derivs=True):
+    for pd, factor, expo in _sweep(table, x.ravel(), n, derivs=True):
         if factor is not None:
             acc *= factor * factor
         AC += np.multiply(pd, pd, out=sq)
         B += np.multiply(pd[0], pd[1], out=sq[0])
-    return acc[0], B, acc[1], 2 * expo
+    return tuple(v.reshape(x.shape) for v in (acc[0], B, acc[1], 2 * expo))
 
 
 def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
@@ -409,12 +409,15 @@ def poly_matrix(table: RecurrenceTable, x, n: int, derivs: bool = False):
     the true polynomial's; the exponents compare magnitudes across points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _basis_into(table, x, n, np.empty((2 if derivs else 1, n + 1, x.size)))
+    if x.ndim != 1:
+        raise DomainError(f"points must be a scalar or 1-D, not {x.shape}")
+    return _basis_into(table, x, np.empty((2 if derivs else 1, n + 1, x.size)))
 
 
-def _basis_into(table: RecurrenceTable, x: np.ndarray, n: int, PD: np.ndarray):
+def _basis_into(table: RecurrenceTable, x: np.ndarray, PD: np.ndarray):
     """poly_matrix into the caller's buffer PD, shaped (2, n + 1, x.size)
     for derivatives too and (1, n + 1, x.size) for values only."""
+    n = PD.shape[1] - 1
     for k, (pd, factor, expo) in enumerate(_sweep(table, x, n, len(PD) == 2)):
         if factor is not None:
             # k stored rows, scaled in place one run of adjacent columns hit
@@ -427,11 +430,12 @@ def _basis_into(table: RecurrenceTable, x: np.ndarray, n: int, PD: np.ndarray):
     return PD[0], (PD[1] if len(PD) == 2 else None), expo
 
 
-def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int):
+def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray):
     """Mantissas of sum_j C[r, j] p_j and of its derivative at the points
     x[r] of each coefficient row r, without storing the basis matrix: C is
     (rows, n + 1), x is (rows, m), and (S, Sd, expo) are shaped like x; the
     true value is S * 2^expo."""
+    n = C.shape[1] - 1
     x = np.asarray(x, dtype=float)
     Ct = np.ascontiguousarray(np.transpose(C))[:, :, None]  # (n + 1, rows, 1)
     S = np.zeros((2, *x.shape))  # values, derivatives
@@ -444,26 +448,24 @@ def combo_values(table: RecurrenceTable, C: np.ndarray, x: np.ndarray, n: int):
 
 
 def universality_ratios(spec: WeightSpec, table: RecurrenceTable,
-                        info: ScalingInfo, x: float) -> tuple[float, float, float]:
-    """Convergence diagnostics of the weighted kernel against the
-    equilibrium density, at x inside the 0.05-shrunk support window
-    info.j_interval() for degree n + 1 = info.n:
+                        n: int, x: float) -> tuple[float, float, float]:
+    """Convergence diagnostics of the degree-n kernel against the
+    equilibrium density of solve_mrs(spec, n + 1), at x inside that
+    radius's 0.05-shrunk support window j_interval():
 
         r00 = W^2 K / sigma            -> 1
         r01 = W^2 K^(0,1)/sigma^2 - Q'/sigma   -> 0
         r11 = W^2 K^(1,1)/sigma^3 - (Q'/sigma)^2 -> pi^2/3
     """
-    n = info.n - 1
+    info = solve_mrs(spec, n + 1)
     lo, hi = info.j_interval()
     if not lo <= x <= hi:
-        raise DomainError(
-            f"x = {x} outside the window [{lo:.6g}, {hi:.6g}]")
-    A, Bv, Cv, e2 = kernel_triple_many(table, [x], n)
-    sigma = equilibrium_density_many(spec, info, [x])[0]
-    log_w2 = -2.0 * float(spec.q(np.float64(x)))
-    scale = math.exp(log_w2 + float(e2[0]) * math.log(2.0))
+        raise DomainError(f"x = {x} outside the window [{lo:.6g}, {hi:.6g}]")
+    A, Bv, Cv, e2 = map(float, kernel_triple_many(table, x, n))
+    sigma = float(equilibrium_density_many(spec, info, x))
+    scale = math.exp(-2.0 * float(spec.q(np.float64(x))) + e2 * math.log(2.0))
     qp = float(spec.q1(np.float64(x)))
-    r00 = float(A[0]) * scale / sigma
-    r01 = float(Bv[0]) * scale / sigma**2 - qp / sigma
-    r11 = float(Cv[0]) * scale / sigma**3 - (qp / sigma) ** 2
+    r00 = A * scale / sigma
+    r01 = Bv * scale / sigma**2 - qp / sigma
+    r11 = Cv * scale / sigma**3 - (qp / sigma) ** 2
     return r00, r01, r11

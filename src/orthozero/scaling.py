@@ -157,7 +157,7 @@ def _divided_difference(spec: WeightSpec, s, x):
 
 def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
                              tol: float = 1e-8) -> np.ndarray:
-    """sigma_n at an array of points strictly inside the support.
+    """sigma_n, in the shape of x, at points strictly inside the support.
 
     With s = a_n cos(theta) the integral of sigma_n is int_0^pi DQ dtheta,
     DQ the divided difference of Q'; theta = pi/2 -+ phi folds it onto
@@ -165,7 +165,7 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
     passes stop when the integral agrees to tol/4 at every point (see
     refine).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     a = info.a_n
     if np.any(np.abs(x) >= a):
         raise DomainError("equilibrium density needs |x| < a_n")
@@ -177,8 +177,8 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
         # the integrand are alive at once
         rows = max(1, _DD_BYTES // (8 * 8 * w.size))
         return np.concatenate([np.sum(_divided_difference(
-            spec, s, x[r:r + rows, None]) * w, axis=-1)
-            for r in range(0, x.size, rows)])
+            spec, s, x.ravel()[r:r + rows, None]) * w, axis=-1)
+            for r in range(0, x.size, rows)]).reshape(x.shape)
 
     I = refine(estimate, tol, _DD_PASSES, "graded equilibrium rule")[0]
     return np.sqrt(np.maximum(a * a - x * x, 0.0)) / np.pi**2 * I
@@ -186,8 +186,8 @@ def equilibrium_density_many(spec: WeightSpec, info: ScalingInfo, x,
 
 def normalized_density_many(spec: WeightSpec, info: ScalingInfo, s,
                             tol: float = 1e-8) -> np.ndarray:
-    """sigma_n*(s) = (a_n/n) sigma_n(a_n s) for |s| < 1."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    """sigma_n*(s) = (a_n/n) sigma_n(a_n s) for |s| < 1, shaped like s."""
+    s = np.asarray(s, dtype=float)
     if np.any(np.abs(s) >= 1.0):
         raise DomainError("normalized density needs |s| < 1")
     inner_tol = tol * info.n / info.a_n

@@ -99,7 +99,7 @@ def golden_trials(n, law):
     table = _table(n)
     info = oz.solve_mrs(spec, n + 1)
     return info, tuple(oz.count_real_zeros(
-        spec, table, oz.sample_coeffs(oz.CoeffDist(law), 0, t, n), info)
+        spec, table, oz.sample_coeffs(oz.CoeffDist(law), 0, t, n))
         for t in range(40))
 
 
@@ -113,14 +113,14 @@ def zeros_digest(n, law):
     return h.hexdigest()
 
 
-def _bisected_zeros(table, C, rows, lo, hi, sl, n, width):
+def _bisected_zeros(table, C, rows, lo, hi, sl, width):
     """The counter's refinement before safeguarded Newton, kept as the
     reference: halve every bracket (row rows[i] of C) until all are at
     most `width` wide, and return the midpoints."""
     steps = max(1, math.ceil(math.log2(max(np.max(hi - lo) / width, 2.0))))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        sm = np.sign(combo_values(table, C[rows], mid[:, None], n)[0][:, 0])
+        sm = np.sign(combo_values(table, C[rows], mid[:, None])[0][:, 0])
         left = sl * sm < 0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
@@ -150,9 +150,9 @@ def test_golden_zeros_match_bisection(n, law):
     C = np.stack([oz.sample_coeffs(oz.CoeffDist(law), 0, t, n)
                   for t in range(40)])
     counts, (rows, lo, hi, sl) = montecarlo._brackets(
-        table, C, oz.make_count_grid(spec, info, table), n, info.a_n)
+        table, C, oz.make_count_grid(spec, info, table), info.a_n)
     width = montecarlo._ZERO_WIDTH * info.a_n
-    ref = _bisected_zeros(table, C, rows, lo, hi, sl, n, width)
+    ref = _bisected_zeros(table, C, rows, lo, hi, sl, width)
     for t, res in enumerate(results):
         assert res.count == counts[t]
         assert np.all(np.abs(res.zeros - np.sort(ref[rows == t])) <= width)

@@ -31,8 +31,7 @@ def test_coefficient_scale_moves_no_zero(hermite, hermite_table_60):
     # why the gaussian law has no scale: c and 2.5 c have the same zeros
     # and the same real-zero count
     c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 5, 0, 20)
-    info = oz.solve_mrs(hermite, 21)
-    one, wide = (oz.count_real_zeros(hermite, hermite_table_60, v, info)
+    one, wide = (oz.count_real_zeros(hermite, hermite_table_60, v)
                  for v in (c, 2.5 * c))
     assert one.count == wide.count
     assert np.allclose(one.zeros, wide.zeros, rtol=0, atol=1e-9)
@@ -61,13 +60,11 @@ def test_coeff_dist_laws():
 
 def test_linear_sample_one_zero(hermite, hermite_table_60):
     d = oz.CoeffDist("gaussian")
-    info2 = oz.solve_mrs(hermite, 2)
     s = oz.sample_coeffs(d, 0, 0, 1)
-    res = oz.count_real_zeros(hermite, hermite_table_60, s, info2)
+    res = oz.count_real_zeros(hermite, hermite_table_60, s)
     assert res.count == 1
     # any array-like of coefficients will do, as for all_zeros
-    assert oz.count_real_zeros(hermite, hermite_table_60, list(s),
-                               info2).count == 1
+    assert oz.count_real_zeros(hermite, hermite_table_60, list(s)).count == 1
     # closed form: c0 p0 + c1 p1 = 0 at b_1 * (-c0/c1) for the even table
     z = oz.all_zeros(hermite_table_60, s)
     expect = -hermite_table_60.off_diag[0] * s[0] / s[1]
@@ -123,14 +120,46 @@ def test_all_zeros_degree_reduction(hermite_table_60):
         oz.all_zeros(hermite_table_60, np.zeros(5))
 
 
+def _degraded(kind):
+    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 0, 0, 20)
+    if kind == "zeros":
+        return np.zeros(21)
+    if kind in ("nan", "inf"):
+        c[7] = np.nan if kind == "nan" else -np.inf
+        return c
+    return np.stack([c, -c]) if kind == "2-d" else np.array(c[0])
+
+
+@pytest.mark.parametrize("kind,error", [("zeros", DegenerateSampleError),
+                                        ("nan", DomainError),
+                                        ("inf", DomainError),
+                                        ("2-d", DomainError),
+                                        ("0-d", DomainError)])
+def test_both_routes_refuse_degraded_coefficients(hermite, hermite_table_60,
+                                                  kind, error):
+    # without the shared check the counter reads the zero vector as 301
+    # zeros (every grid point at n = 20), a NaN entry as 0 zeros and an
+    # inf entry as 2, and the comrade route fails inside numpy
+    c = _degraded(kind)
+    with pytest.raises(error):
+        oz.count_real_zeros(hermite, hermite_table_60, c)
+    with pytest.raises(error):
+        oz.all_zeros(hermite_table_60, c)
+
+
+def test_nonzero_constant_counts_no_zero(hermite, hermite_table_60):
+    for c in ([2.5, 0.0], [-1.0, 0.0, 0.0]):
+        res = oz.count_real_zeros(hermite, hermite_table_60, c)
+        assert res.count == res.zeros.size == 0
+
+
 def test_zero_scale_invariance(hermite, hermite_table_60):
     d = oz.CoeffDist("gaussian")
-    info = oz.solve_mrs(hermite, 31)
     s = oz.sample_coeffs(d, 17, 0, 30)
     # binary scales propagate exactly through every float operation
     s_pow2 = 4.0 * s
-    r1 = oz.count_real_zeros(hermite, hermite_table_60, s, info)
-    r2 = oz.count_real_zeros(hermite, hermite_table_60, s_pow2, info)
+    r1 = oz.count_real_zeros(hermite, hermite_table_60, s)
+    r2 = oz.count_real_zeros(hermite, hermite_table_60, s_pow2)
     assert r1.count == r2.count
     assert np.array_equal(r1.zeros, r2.zeros)
     z1 = np.sort_complex(oz.all_zeros(hermite_table_60, s))
@@ -138,7 +167,7 @@ def test_zero_scale_invariance(hermite, hermite_table_60):
     assert np.array_equal(z1, z2)
     # arbitrary positive scales keep the count
     s_odd = 3.7 * s
-    r3 = oz.count_real_zeros(hermite, hermite_table_60, s_odd, info)
+    r3 = oz.count_real_zeros(hermite, hermite_table_60, s_odd)
     assert r3.count == r1.count
 
 
@@ -153,7 +182,7 @@ def test_sign_count_matches_eigen_count(hermite, hermite_table_60, n):
     worst = 0
     for t in range(100):
         s = oz.sample_coeffs(d, 99, t, n)
-        res = oz.count_real_zeros(hermite, hermite_table_60, s, info)
+        res = oz.count_real_zeros(hermite, hermite_table_60, s)
         z = oz.all_zeros(hermite_table_60, s)
         realz = z.real[np.abs(z.imag) <= 1e-8 * info_n.a_n]
         n_eig = int(np.sum(np.abs(realz) <= window))
@@ -184,7 +213,7 @@ def test_tail_cell_pair_is_counted(weight, n, law, trial):
     info = oz.solve_mrs(spec, n + 1)
     s = oz.sample_coeffs(oz.CoeffDist(law), 0, trial, n)
     grid = oz.make_count_grid(spec, info, table)
-    assert (oz.count_real_zeros(spec, table, s, info).count
+    assert (oz.count_real_zeros(spec, table, s).count
             == _real_inside(table, s, grid, info.a_n))
 
 
@@ -216,7 +245,7 @@ def test_exact_grid_zero_counted_once(hermite, hermite_table_60):
     info = oz.solve_mrs(hermite, 4)
     grid = oz.make_count_grid(hermite, info, hermite_table_60)
     C = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
-    counts, (rows, lo, hi, sl) = mc._brackets(hermite_table_60, C, grid, 3,
+    counts, (rows, lo, hi, sl) = mc._brackets(hermite_table_60, C, grid,
                                               info.a_n)
     assert 0.0 in grid
     assert counts.tolist() == [3, 1]
@@ -230,7 +259,7 @@ def test_exact_grid_zero_counted_once(hermite, hermite_table_60):
     assert np.all((lo < z) & (z < hi))
     # the counter returns the grid zero among its zeros
     for c, want in zip(C, ([-math.sqrt(1.5), 0.0, math.sqrt(1.5)], [0.0])):
-        res = oz.count_real_zeros(hermite, hermite_table_60, c, info)
+        res = oz.count_real_zeros(hermite, hermite_table_60, c)
         assert res.zeros.size == res.count
         assert res.zeros == pytest.approx(want, abs=1e-11)
         assert 0.0 in res.zeros
@@ -238,18 +267,6 @@ def test_exact_grid_zero_counted_once(hermite, hermite_table_60):
 
 def _grid_must_not_build(*args, **kwargs):
     raise AssertionError("the grid was built for the wrong degree")
-
-
-@pytest.mark.parametrize("n_info", [20, 22, 2])
-def test_count_refuses_info_of_another_degree(hermite, hermite_table_60,
-                                              n_info, monkeypatch):
-    # degree 20 counts on the grid of solve_mrs(spec, 21); any other info
-    # moves the grid and the rescue edge, and is refused before either
-    c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 0, 0, 20)
-    info = oz.solve_mrs(hermite, n_info)
-    monkeypatch.setattr(mc, "make_count_grid", _grid_must_not_build)
-    with pytest.raises(DomainError, match=r"solve_mrs\(spec, 21\)"):
-        oz.count_real_zeros(hermite, hermite_table_60, c, info)
 
 
 @pytest.mark.parametrize("n_info", [20, 22, 2])
@@ -266,11 +283,10 @@ def test_count_memory_bounded(hermite, hermite_table_1001):
     # evaluated whole, the grid level at n = 1000 held P and D, 1001
     # degrees at 10,167 points, and the call peaked at 164 MB; in blocks of
     # grid columns it peaks near 16 MB
-    info = oz.solve_mrs(hermite, 1001)
     s = oz.sample_coeffs(oz.CoeffDist("gaussian"), 0, 0, 1000)
     tracemalloc.start()
     try:
-        res = oz.count_real_zeros(hermite, hermite_table_1001, s, info)
+        res = oz.count_real_zeros(hermite, hermite_table_1001, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -427,9 +443,8 @@ def test_mc_reproducible_and_consistent(hermite, hermite_table_60):
 def test_mc_batching_matches_per_trial(hermite, hermite_table_60):
     d = oz.CoeffDist("gaussian")
     res = oz.mc_expected_zeros(hermite, hermite_table_60, 40, 25, d, seed=9)
-    info = oz.solve_mrs(hermite, 41)
     singles = [oz.count_real_zeros(
-        hermite, hermite_table_60, oz.sample_coeffs(d, 9, t, 40), info).count
+        hermite, hermite_table_60, oz.sample_coeffs(d, 9, t, 40)).count
         for t in range(25)]
     assert np.array_equal(res.counts, np.array(singles, dtype=float))
 
@@ -437,11 +452,10 @@ def test_mc_batching_matches_per_trial(hermite, hermite_table_60):
 def test_mc_zero_locations_symmetric(hermite, hermite_table_60):
     # even weight: the mean zero location across trials sits at zero
     d = oz.CoeffDist("gaussian")
-    info = oz.solve_mrs(hermite, 51)
     means = []
     for t in range(200):
         s = oz.sample_coeffs(d, 31, t, 50)
-        res = oz.count_real_zeros(hermite, hermite_table_60, s, info)
+        res = oz.count_real_zeros(hermite, hermite_table_60, s)
         if res.zeros.size:
             means.append(res.zeros.mean())
     m = np.mean(means)
@@ -494,7 +508,7 @@ def test_grid_over_budget_raises(hermite, hermite_table_60, monkeypatch,
                                           "tiny": 50}[budget])
     s = oz.sample_coeffs(d, 0, 0, 30)
     with pytest.raises(BudgetError):
-        oz.count_real_zeros(hermite, hermite_table_60, s, info)
+        oz.count_real_zeros(hermite, hermite_table_60, s)
     with pytest.raises(BudgetError):
         oz.mc_expected_zeros(hermite, hermite_table_60, 30, 2, d, seed=0)
     assert mc._GRID_CACHE == {}
@@ -535,9 +549,8 @@ def test_mc_degree_beyond_table(freud14):
     with pytest.raises(DomainError):
         oz.mc_expected_zeros(freud14, tab, 41, 2, d, seed=0)
     s = oz.sample_coeffs(d, 0, 0, 41)
-    info = oz.solve_mrs(freud14, 41)
     with pytest.raises(DomainError):
-        oz.count_real_zeros(freud14, tab, s, info)
+        oz.count_real_zeros(freud14, tab, s)
 
 
 def test_count_grid_cache(hermite, hermite_table_60):

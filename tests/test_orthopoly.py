@@ -285,6 +285,11 @@ def test_eval_poly_values(hermite_table_60):
         oz.poly_matrix(hermite_table_60, [0.0], 61)
     with pytest.raises(DomainError):
         oz.poly_matrix(hermite_table_60, [0.0], -1)
+    # a scalar is one point; points of more than one dimension are refused
+    assert np.array_equal(oz.poly_matrix(hermite_table_60, 4.4, 3)[0],
+                          P[:, 2:])
+    with pytest.raises(DomainError):
+        oz.poly_matrix(hermite_table_60, [[0.0, 1.0]], 3)
 
 
 def test_eval_poly_derivatives_vs_finite_difference(hermite_table_60):
@@ -378,14 +383,14 @@ def test_universality_domain_error(hermite):
     tab = oz.get_table(hermite, 101)
     info = oz.solve_mrs(hermite, 101)
     with pytest.raises(DomainError):
-        oz.universality_ratios(hermite, tab, info, 0.99 * info.a_n)
+        oz.universality_ratios(hermite, tab, info.n - 1, 0.99 * info.a_n)
 
 
 def test_universality_r01_exact_zero_at_origin(hermite):
     # even weight at the origin: B and Q' both vanish identically
     tab = oz.get_table(hermite, 101)
     info = oz.solve_mrs(hermite, 101)
-    _, r01, _ = oz.universality_ratios(hermite, tab, info, 0.0)
+    _, r01, _ = oz.universality_ratios(hermite, tab, info.n - 1, 0.0)
     assert r01 == 0.0
 
 

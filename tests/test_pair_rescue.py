@@ -101,7 +101,7 @@ def audit(n, trials, law):
     rows, cells = np.nonzero((Sd[:, :-1] * Sd[:, 1:] < 0) & ~pf)
     kept = _flagged(rows, cells,
                     *mc._rescue_cells(V, Vd, expo, grid, pf, info.a_n))
-    _, brackets = mc._brackets(table, C, grid, n, info.a_n)
+    _, brackets = mc._brackets(table, C, grid, info.a_n)
     return scan(table, C, rows, grid[cells], grid[cells + 1], kept, brackets,
                 mc._EDGE * info.a_n)
 
@@ -137,7 +137,7 @@ def fan_audit(n, trials, law, monkeypatch):
         return t, c
 
     monkeypatch.setattr(mc, "_rescue_cells", spy)
-    _, brackets = mc._brackets(table, C, grid, n, info.a_n)
+    _, brackets = mc._brackets(table, C, grid, info.a_n)
     monkeypatch.undo()
     return [scan(table, C, *level, brackets, mc._EDGE * info.a_n)
             for level in levels[:2]]
@@ -179,7 +179,7 @@ def test_combo_values_exponents_match_poly_matrix(derivs):
     assert np.unique(expo).size >= 3  # rescales at 256, 1024 and 1280
     Ct = np.random.default_rng(3).standard_normal((n + 1, xs.size))
     # one coefficient row per point
-    S, Sd, e = orthopoly.combo_values(table, Ct.T, xs[:, None], n)
+    S, Sd, e = orthopoly.combo_values(table, Ct.T, xs[:, None])
     assert np.array_equal(e[:, 0], expo)
     assert np.allclose(S[:, 0], np.einsum("ji,ji->i", Ct, P), rtol=1e-9,
                        atol=0)
@@ -216,11 +216,11 @@ def test_row_split_keeps_results():
     grid = oz.make_count_grid(spec, info, table)
     C = np.stack([oz.sample_coeffs(oz.CoeffDist("rademacher"), 0, t, 60)
                   for t in range(40)])
-    counts, whole = mc._brackets(table, C, grid, 60, info.a_n)
+    counts, whole = mc._brackets(table, C, grid, info.a_n)
     # a row's brackets do not depend on the rows that share its block
     whole = _sorted(whole)
     for t in range(0, 40, 7):
-        one_count, one = mc._brackets(table, C[t:t + 1], grid, 60, info.a_n)
+        one_count, one = mc._brackets(table, C[t:t + 1], grid, info.a_n)
         mine = whole[0] == t
         assert one_count[0] == counts[t]
         assert all(np.array_equal(a, b[mine])
@@ -233,8 +233,8 @@ def test_counts_independent_of_block_layout(law):
     # values in the last bits (BLAS blocks C @ P by shape); counts do not
     n = 200
     table, info, grid, C = _setup(n, 300, law)
-    counts, _ = mc._brackets(table, C, grid, n, info.a_n)
-    singles = [mc._brackets(table, C[t:t + 1], grid, n, info.a_n)[0][0]
+    counts, _ = mc._brackets(table, C, grid, info.a_n)
+    singles = [mc._brackets(table, C[t:t + 1], grid, info.a_n)[0][0]
                for t in range(50)]
     assert np.array_equal(counts[:50], singles)
 
@@ -254,10 +254,10 @@ def test_grid_column_blocks_keep_brackets(monkeypatch):
         assert half[0] == 0
         assert step < half.size <= 2 * step
         assert -(-trials // (budget // (32 * (step + 1)))) >= row_blocks
-        counts, blocked = mc._brackets(table, C, grid, n, info.a_n)
+        counts, blocked = mc._brackets(table, C, grid, info.a_n)
         monkeypatch.setattr(mc, "_BASIS_BYTES", max(
             8 * (n + 1) * grid.size, 32 * (grid.size + 1) * trials))
-        one_counts, whole = mc._brackets(table, C, grid, n, info.a_n)
+        one_counts, whole = mc._brackets(table, C, grid, info.a_n)
         assert np.array_equal(counts, one_counts)
         assert all(np.array_equal(a, b)
                    for a, b in zip(_sorted(blocked), _sorted(whole)))
@@ -270,12 +270,12 @@ def test_basis_built_on_half_grid(monkeypatch):
     basis_into = mc._basis_into
     seen = []
 
-    def spy(table, x, n, PD):
+    def spy(table, x, PD):
         seen.append(x.copy())
-        return basis_into(table, x, n, PD)
+        return basis_into(table, x, PD)
 
     monkeypatch.setattr(mc, "_basis_into", spy)
-    mc._brackets(table, C, grid, n, info.a_n)
+    mc._brackets(table, C, grid, info.a_n)
     assert sum(x.size for x in seen) == grid.size // 2 + 1
     assert np.array_equal(np.concatenate(seen), grid[grid.size // 2:])
 
@@ -291,8 +291,8 @@ def test_counts_without_brackets_match(weight, n, law):
     grid = oz.make_count_grid(spec, info, table)
     C = np.stack([oz.sample_coeffs(oz.CoeffDist(law), 0, t, n)
                   for t in range(100)])
-    counts, brackets = mc._brackets(table, C, grid, n, info.a_n)
-    bare, none = mc._brackets(table, C, grid, n, info.a_n, brackets=False)
+    counts, brackets = mc._brackets(table, C, grid, info.a_n)
+    bare, none = mc._brackets(table, C, grid, info.a_n, brackets=False)
     assert none is None
     assert np.array_equal(bare, counts)
     # no coefficient row here vanishes at a grid point: one bracket a zero
@@ -322,7 +322,7 @@ def test_one_rescue_pass_per_level(monkeypatch):
         return t, c
 
     monkeypatch.setattr(mc, "_rescue_cells", spy)
-    mc._brackets(table, C, grid, n, info.a_n)
+    mc._brackets(table, C, grid, info.a_n)
     kept = sum(k for calls in grid_calls.values() for _, k in calls)
     assert kept > 8_000_000 // (8 * (n + 1) * (mc._SUBDIV_FAN + 1))
     assert len(fan_calls) <= mc._SUBDIV_DEPTH

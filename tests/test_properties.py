@@ -63,11 +63,10 @@ def test_symmetric_range_folds_onto_half_line(hermite, hermite_table_60, h, n):
 def test_count_invariant_under_binary_scale(hermite, hermite_table_60, trial,
                                             k, sign):
     # a power of two and a sign pass exactly through every float operation
-    info = oz.solve_mrs(hermite, 31)
     c = oz.sample_coeffs(oz.CoeffDist("gaussian"), 3, trial, 30)
-    base = oz.count_real_zeros(hermite, hermite_table_60, c, info)
+    base = oz.count_real_zeros(hermite, hermite_table_60, c)
     scaled = oz.count_real_zeros(hermite, hermite_table_60,
-                                 sign * math.ldexp(1.0, k) * c, info)
+                                 sign * math.ldexp(1.0, k) * c)
     assert scaled.count == base.count
     assert np.array_equal(scaled.zeros, base.zeros)
 

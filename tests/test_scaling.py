@@ -513,6 +513,26 @@ def test_ullman_cdf_many_keeps_the_shape(alpha):
         assert float(got).hex() == float(want).hex()
 
 
+@pytest.mark.parametrize("name", ["equilibrium", "normalized", "kernel"])
+def test_density_sweeps_keep_the_shape(freud14, hermite_table_60, name):
+    # a 2-D array gives the 1-D results bit for bit, and a scalar those of
+    # the one-point array; the kernel sums come with their exponents
+    info = oz.solve_mrs(freud14, 30)
+    f = {"equilibrium": lambda s: oz.equilibrium_density_many(
+             freud14, info, info.expand(s)),
+         "normalized": lambda s: oz.normalized_density_many(freud14, info, s),
+         "kernel": lambda s: oz.kernel_triple_many(
+             hermite_table_60, 8.0 * np.asarray(s), 30)}[name]
+    ss = np.linspace(-0.95, 0.95, 6)
+    flat, grid = (np.array(f(s)) for s in (ss, ss.reshape(2, 3)))
+    assert grid.shape == flat.shape[:-1] + (2, 3)
+    assert grid.tobytes() == flat.tobytes()
+    for s in ss[:2]:
+        one, got = np.array(f([s])), np.array(f(s))
+        assert got.shape == one.shape[:-1]
+        assert got.tobytes() == one.tobytes()
+
+
 def test_freud_constants_values():
     g2, b2 = oz.freud_constants(2.0)
     assert g2 == pytest.approx(1.0, abs=1e-12)  # Gamma identities collapse

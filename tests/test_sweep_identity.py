@@ -174,7 +174,7 @@ def test_combo_values_match_reference(case, n, derivs):
     rng = np.random.default_rng(n)
     for pts in (x[None, :], x[:, None], np.stack([x, x[::-1], -x])):
         C = rng.standard_normal((pts.shape[0], n + 1))
-        got = orthopoly.combo_values(table, C, pts, n)
+        got = orthopoly.combo_values(table, C, pts)
         Ct = np.repeat(C, pts.shape[1], axis=0).T
         ref = _ref_combo_values(table, Ct, pts.ravel(), n, derivs)
         assert all(r is None or _same_bits(g.ravel(), r)
