@@ -333,8 +333,10 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
     grid of solve_mrs(spec, n + 1) by sign changes of the unweighted sum's
     mantissas from the recurrence sweep (same signs, no overflow), each
     bracketed and refined to width _ZERO_WIDTH * a_n; a zero exactly at a
-    grid point is that point."""
+    grid point is that point.  A nonzero constant has none."""
     coeffs = _coeff_vector(coeffs)
+    if coeffs.size == 1:
+        return CountResult(count=0, zeros=np.empty(0))
     info = solve_mrs(spec, coeffs.size)  # n + 1
     grid = make_count_grid(spec, info, table)
     counts, (_, lo, hi, sl) = _brackets(table, coeffs[None], grid, info.a_n)
@@ -451,6 +453,8 @@ def mc_expected_zeros(spec: WeightSpec, table: RecurrenceTable, n: int,
     """Mean and standard error of the real-zero count over independent
     trials; info, if given, must be solve_mrs(spec, n + 1)."""
     check_trials(trials)
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
     if info is None:
         info = solve_mrs(spec, n + 1)
     elif info.n != n + 1:

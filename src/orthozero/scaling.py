@@ -285,8 +285,10 @@ def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
 
 def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
     """Vectorized CDF on a fixed two-panel Gauss rule (used by the KS
-    statistic, absolute error well below 1e-8 away from b ~ 0 and bounded by
-    the vanishing local mass there), in the shape of xs."""
+    statistic), in the shape of xs.  Against a 30-digit mpmath CDF the
+    absolute error is at most 3e-16 at |x| >= 1e-3, and everywhere for
+    alpha >= 3; nearer the centre it peaks at |x| ~ 2.6e-6, at 1.8e-7 for
+    alpha = 1.01, 1.8e-8 for 1.2, 4.3e-10 for 1.5 and 6.7e-13 for 2."""
     if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     xs = np.asarray(xs, dtype=float)

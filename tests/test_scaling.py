@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import orthozero as oz
-from conftest import ullman_cdf
+from conftest import _half_mass, ullman_cdf
 from orthozero import scaling
 from orthozero.errors import DomainError, NonEvenWeightError, SingularityError
 
@@ -460,7 +461,7 @@ def test_runs_leave_scipy_special_unloaded():
 
 
 def test_runs_without_scipy():
-    # scipy is a test dependency only: with every `import scipy` failing,
+    # scipy is no dependency of the package: with every `import scipy` failing,
     # the package imports and each subcommand runs, the limit density,
     # Freud constants (verify 7, 8) and monomial basis (verify 6) included
     _run_fresh(
@@ -484,6 +485,21 @@ def test_runs_without_scipy():
         "assert abs(d - 2 / math.pi * math.sqrt(0.91)) <= 1e-10, d\n")
 
 
+def test_no_scipy_import_statement():
+    # neither the package nor its tests import scipy; the absence tests
+    # above name it only inside the source strings they run
+    root = Path(__file__).resolve().parents[1]
+    for path in [*root.glob("tests/*.py"), *root.glob("src/orthozero/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), path
+
+
 def test_ullman_cdf_monotone():
     xs = np.linspace(-1.0, 1.0, 41)
     for alpha in (1.5, 4.0, math.inf):
@@ -497,6 +513,42 @@ def test_ullman_cdf_many_matches_scalar():
         fast = oz.ullman_cdf_many(alpha, xs)
         slow = np.array([ullman_cdf(alpha, float(x)) for x in xs])
         assert np.max(np.abs(fast - slow)) <= 1e-8
+
+
+def _half_mass_mp(mpmath, alpha, b):
+    """mu_alpha([0, b]) at the working precision: the u-integral of
+    conftest._half_mass, split at b, 10b and 1/2, with arcsin(b/t) written
+    as atan2(b, sqrt(1 - b^2) u), since t^2 - b^2 = (1 - b^2) u^2."""
+    a, y = mpmath.mpf(alpha), mpmath.mpf(b)
+    om, e = 1 - y * y, (a - 2) / 2
+    s = mpmath.sqrt(om)
+
+    def h(u):
+        return om * u * (y * y + om * u * u) ** e * mpmath.atan2(y, s * u)
+
+    cuts = [0, *sorted(c for c in (y, 10 * y, mpmath.mpf(0.5)) if c < 1), 1]
+    return y**a / 2 + a / mpmath.pi * mpmath.quad(h, cuts)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 2.0, 8.0])
+def test_half_mass_reference_matches_mpmath(alpha):
+    # the tests' limit-CDF reference against 30 digits, through the
+    # boundary layer of width ~b at the centre and up to the edge
+    mpmath = pytest.importorskip("mpmath")
+    for b in (1e-12, 1e-6, 3.16e-6, 0.01, 0.3, 0.99, 0.999999):
+        with mpmath.workdps(30):
+            exact = float(_half_mass_mp(mpmath, alpha, b))
+        assert abs(_half_mass(alpha, b) - exact) <= 1e-12, b
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 2.0, 8.0])
+def test_ullman_cdf_many_off_centre_to_rounding(alpha):
+    # at |x| >= 1e-3 the two-panel rule resolves the integrand; nearer the
+    # centre its error peaks at |x| ~ 2.6e-6 (see ullman_cdf_many)
+    b = np.geomspace(1e-3, 0.999999, 41)
+    xs = np.concatenate((-b[::-1], b))
+    ref = np.array([ullman_cdf(alpha, float(x)) for x in xs])
+    assert np.max(np.abs(oz.ullman_cdf_many(alpha, xs) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [2.0, math.inf], ids=["2", "inf"])
