@@ -155,9 +155,8 @@ def criterion_7() -> CriterionResult:
         g, b = scaling.freud_constants(alpha)
         worst_prod = max(worst_prod, abs(g * b - 1.0 / alpha))
     xs = np.linspace(-1.0, 1.0, 101)
-    worst_semi = max(
-        abs(scaling.ullman_density(2.0, float(x))
-            - 2.0 / math.pi * math.sqrt(max(1.0 - x * x, 0.0))) for x in xs)
+    worst_semi = np.max(np.abs(scaling.ullman_density(2.0, xs) - 2.0 / math.pi
+                               * np.sqrt(np.maximum(1.0 - xs * xs, 0.0))))
     # the alternative route: sigma_n* of the Freud weight, which is the
     # Ullman density at every n, by the equilibrium divided difference
     worst_alt = 0.0
@@ -166,8 +165,8 @@ def criterion_7() -> CriterionResult:
         spec = weights.make_freud(1.0, alpha)
         alt = scaling.normalized_density_many(
             spec, scaling.solve_mrs(spec, 90), pts)
-        worst_alt = max(worst_alt, *(abs(scaling.ullman_density(alpha, x) - v)
-                                     for x, v in zip(pts, alt)))
+        worst_alt = max(worst_alt, np.max(np.abs(
+            scaling.ullman_density(alpha, pts) - alt)))
     ok = worst_prod <= 1e-12 and worst_semi <= 1e-10 and worst_alt <= 1e-8
     return CriterionResult(
         7, "constants identity and density-route agreement", ok,

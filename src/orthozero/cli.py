@@ -74,10 +74,9 @@ def cmd_density(ns) -> int:
     info = scaling.solve_mrs(spec, ns.n)
     s = np.linspace(-1.0, 1.0, ns.points + 2)[1:-1]
     sig = scaling.normalized_density_many(spec, info, s, tol=ns.tol)
+    mu = scaling.ullman_density(spec.alpha, s)
     rows = ["s,sigma_star,limit_density"]
-    for si, v in zip(s, sig):
-        mu = scaling.ullman_density(spec.alpha, float(si), tol=ns.tol)
-        rows.append(f"{fmt(si)},{fmt(v)},{fmt(mu)}")
+    rows += [f"{fmt(si)},{fmt(v)},{fmt(m)}" for si, v, m in zip(s, sig, mu)]
     _write(ns.output, "\n".join(rows) + "\n")
     return 0
 
@@ -229,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--points", type=int, default=101)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-8,
+                    help="tolerance of sigma_n* (the limit density has none)")
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("recurrence", help="recurrence coefficient table")

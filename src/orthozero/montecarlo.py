@@ -353,12 +353,13 @@ def count_real_zeros(spec: WeightSpec, table: RecurrenceTable,
 
 def comrade_matrix(table: RecurrenceTable, coeffs: np.ndarray) -> np.ndarray:
     """Comrade matrix of sum c_j p_j after degree reduction: the n x n
-    Jacobi matrix with its final row perturbed by -(b_n/c_n) c_0..c_{n-1}."""
+    Jacobi matrix with its final row perturbed by -(b_n/c_n) c_0..c_{n-1};
+    0 x 0 for a nonzero constant, which has no zeros."""
     c = _coeff_vector(coeffs)
     n = int(np.flatnonzero(c)[-1])
-    if n == 0:
-        raise DegenerateSampleError("constant polynomial has no zeros")
     M = np.zeros((n, n))
+    if n == 0:
+        return M
     off = table.off_diag
     k = np.arange(1, n)
     M[k, k - 1] = M[k - 1, k] = off[:n - 1]

@@ -40,7 +40,7 @@ from .errors import (
     NonEvenWeightError,
     SingularityError,
 )
-from .quadrature import _mesh, adaptive_gl, gl_rule, refine, refine_roots
+from .quadrature import _mesh, gl_rule, refine, refine_roots
 from .weights import WeightSpec
 
 # separation, relative to |x|, below which the divided difference of Q' is
@@ -54,6 +54,10 @@ _DD_PASSES = 7
 _DD_BYTES = 64_000_000
 # relative shrink of the support at each end for the uniform kernel window
 _J_EPS = 0.05
+# Gauss-Legendre order of the limit-law rule (_ullman_rule), and the points
+# it takes at a time: its nodes take about 8 KB a point
+_ULLMAN_ORDER = 10
+_ULLMAN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -234,82 +238,74 @@ def freud_constants(alpha: float) -> tuple[float, float]:
     return g, b
 
 
-def ullman_density(alpha: float, x: float, tol: float = 1e-10) -> float:
-    """Limit density on [-1, 1]: (alpha/pi) int_|x|^1 t^(alpha-1)/sqrt(t^2-x^2) dt,
-    arcsine 1/(pi sqrt(1-x^2)) for alpha = inf.
+def _ullman_rule(alpha: float, y: np.ndarray) -> np.ndarray:
+    """(alpha/pi) int_y^1 t^(alpha-1) w dt, stacked for w = 1/sqrt(t^2-y^2)
+    (the density) and w = arcsin(y/t) (the mass of [0, y] less y^alpha/2),
+    in the shape of y and 0 outside 0 < y < 1, for finite alpha > 1.
 
-    The substitution t = |x| cosh(S - r), with |x| cosh S = 1, removes the
-    inverse-square-root edge, leaving (alpha/pi) int_0^S t^(alpha-1) dr: an
-    integrand that falls from 1 at r = 0 to |x|^(alpha-1) at r = S, with no
-    boundary layer at small |x|.  adaptive_gl integrates it to `tol`
-    absolute, on panels split towards r = 0, where the mass lies for large
-    alpha.  At x = 0 the value is alpha/(pi (alpha-1)) exactly.
+    t = y cosh(S - r), y cosh S = 1, makes both integrands smooth in r on
+    [0, S]: with c = sqrt(1-y^2) and q = e^(r-S), t = (1+c) e^-r (1+q^2)/2,
+    -dt/dr = sqrt(t^2-y^2) = (1+c) e^-r (1-q^2)/2, arcsin(y/t) = 2 arctan q.
+    Gauss-Legendre panels lie between min(w0 2^k, S), w0 = min(1, 4/(a-1))
+    with a = alpha, after the decay of t^(alpha-1) from r = 0, and
+    max(S - 2^k, 0), after its branch points at r = S +- i pi/2.  Padding
+    the edges to the largest S adds zero-width panels at 0 and S only, and
+    panels are added in ascending r: each y gets the bits it gets alone.
     """
+    if y.size > _ULLMAN_ROWS:
+        return np.concatenate([_ullman_rule(alpha, b) for b in np.array_split(
+            y.ravel(), -(-y.size // _ULLMAN_ROWS))], axis=1).reshape(2, *y.shape)
+    inner = (y > 0.0) & (y < 1.0)
+    out, y = np.zeros((2, *y.shape)), y[inner]
+    c = np.sqrt((1.0 - y) * (1.0 + y))
+    S = (np.log1p(c) - np.log(y))[:, None]
+    w0, top = min(1.0, 4.0 / (alpha - 1.0)), float(S.max(initial=1.0))
+    edges = np.sort(np.concatenate([np.zeros_like(S), S,
+        np.minimum(w0 * 2.0 ** np.arange(math.ceil(math.log2(top / w0)) + 1), S),
+        np.maximum(S - 2.0 ** np.arange(math.ceil(math.log2(top)) + 1), 0.0)],
+        axis=1), axis=1)
+    xg, wg = gl_rule(_ULLMAN_ORDER)
+    half = 0.5 * np.diff(edges, axis=1)
+    r = (edges[:, :-1] + half)[:, :, None] + half[:, :, None] * xg
+    q = np.exp(r - S[:, :, None])
+    # log((1+c) e^-r / 2), with (1+c)/2 = 1 - y^2/(2(1+c))
+    lr = np.log1p(-0.5 * (y * y / (1.0 + c)))[:, None, None] - r
+    t_pow = np.exp((alpha - 1.0) * (lr + np.log1p(q * q)))
+    mass = t_pow * np.exp(lr) * (1.0 - q) * (1.0 + q) * 2.0 * np.arctan(q)
+    out[:, inner] = alpha / math.pi * np.add.accumulate(half * np.stack(
+        [(f * wg).sum(axis=-1) for f in (t_pow, mass)]), axis=2)[..., -1]
+    return out
+
+
+def ullman_density(alpha: float, x) -> np.ndarray:
+    """Limit density on [-1, 1] in the shape of x, on _ullman_rule:
+    alpha/(pi (alpha-1)) at x = 0, arcsine 1/(pi sqrt(1-x^2)) for
+    alpha = inf.  Against a 40-digit mpmath density at 84 |x| in
+    [1e-12, 0.999999] the relative error is at most 2.3e-15 for
+    alpha <= 40, 6.1e-14 at alpha = 1000 and 5.9e-12 at alpha = 1e5."""
     if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    if not np.all(y <= 1.0):
+        raise DomainError(f"|x| must be <= 1, got {x[~(y <= 1.0)][0]}")
     if alpha == math.inf:
-        if abs(x) >= 1.0:
-            if abs(x) == 1.0:
-                raise SingularityError("arcsine density diverges at |x| = 1")
-            raise DomainError(f"|x| must be <= 1, got {x}")
-        return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
-    if abs(x) > 1.0:
-        raise DomainError(f"|x| must be <= 1, got {x}")
-    if abs(x) == 1.0:
-        return 0.0
-
-    pref = alpha / math.pi
-    y = abs(x)
-    if y == 0.0:
-        return pref / (alpha - 1.0)
-    c = math.sqrt((1.0 - y) * (1.0 + y))  # |x| sinh S
-    l1c, ly = math.log1p(c), math.log(y)
-    top = l1c - ly  # = S, a sum of two non-negative terms
-
-    def t_pow(r):
-        # |x| cosh(S - r) = ((1+c) e^-r + (1-c) e^r)/2 with 1 - c = x^2/(1+c),
-        # in logs: finite for every |x| in (0, 1), subnormal ones included
-        return np.exp((alpha - 1.0) * (
-            np.logaddexp(l1c - r, r + 2.0 * ly - l1c) - math.log(2.0)))
-
-    # for large alpha the mass lies within ~1/(alpha-1) of r = 0 (t^(alpha-1)
-    # <= e^-8 past `width`); pieces that double in length from there, each
-    # with an equal share of tol, keep a long tail from starving it of tol
-    width = 8.0 / (alpha - 1.0)
-    edges = [0.0, *(width * 2.0**k for k in range(
-        max(0, math.ceil(math.log2(top / width))))), top]
-    eps = min(tol / pref, 1e-8) / (len(edges) - 1)
-    return pref * float(sum(adaptive_gl(t_pow, lo, hi, eps)[0]
-                            for lo, hi in zip(edges, edges[1:])))
+        if np.any(y == 1.0):
+            raise SingularityError("arcsine density diverges at |x| = 1")
+        return 1.0 / (math.pi * np.sqrt(1.0 - x * x))
+    return np.where(y == 0.0, alpha / math.pi / (alpha - 1.0),
+                    _ullman_rule(alpha, y)[0])
 
 
 def ullman_cdf_many(alpha: float, xs) -> np.ndarray:
-    """Vectorized CDF on a fixed two-panel Gauss rule (used by the KS
-    statistic), in the shape of xs.  Against a 30-digit mpmath CDF the
-    absolute error is at most 3e-16 at |x| >= 1e-3, and everywhere for
-    alpha >= 3; nearer the centre it peaks at |x| ~ 2.6e-6, at 1.8e-7 for
-    alpha = 1.01, 1.8e-8 for 1.2, 4.3e-10 for 1.5 and 6.7e-13 for 2."""
+    """Limit CDF in the shape of xs (used by the KS statistic), on
+    _ullman_rule.  Against a 30-digit mpmath CDF at 84 |x| in
+    [1e-12, 0.999999] the absolute error is at most 6.7e-16 for
+    alpha <= 40, 2.2e-14 at alpha = 1000 and 2.1e-12 at alpha = 1e5."""
     if not alpha > 1:
         raise DomainError(f"alpha must lie in (1, inf], got {alpha}")
     xs = np.asarray(xs, dtype=float)
     if alpha == math.inf:
         return (np.arcsin(np.clip(xs, -1.0, 1.0)) + np.pi / 2.0) / np.pi
-    flat = xs.ravel()
-    b = np.clip(np.abs(flat), 0.0, 1.0)[:, None]
-    ug, wg = gl_rule(100)
-    cut = np.minimum(0.5, np.maximum(5.0 * b, 0.02))
-    out = np.zeros_like(b)
-    for lo, hi in ((np.zeros_like(cut), cut), (cut, np.ones_like(cut))):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        u = mid + half * ug[None, :]
-        b2 = b * b
-        om = 1.0 - b2
-        t2 = b2 + om * u * u
-        with np.errstate(invalid="ignore"):
-            integ = om * u * t2 ** ((alpha - 2.0) / 2.0) \
-                * np.arcsin(np.minimum(b / np.sqrt(t2), 1.0))
-        out += (integ * wg[None, :]).sum(axis=1, keepdims=True) * half
-    half_mass = 0.5 * b[:, 0] ** alpha + alpha / np.pi * out[:, 0]
-    half_mass[b[:, 0] >= 1.0] = 0.5
-    return (0.5 + np.sign(flat) * half_mass).reshape(xs.shape)
+    y = np.minimum(np.abs(xs), 1.0)
+    return 0.5 + np.sign(xs) * (0.5 * y**alpha + _ullman_rule(alpha, y)[1])

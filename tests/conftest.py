@@ -41,8 +41,8 @@ def _half_mass(alpha: float, b: float) -> float:
 
 def ullman_cdf(alpha: float, x: float) -> float:
     """Cumulative mass of the limit density on [-1, x], by composite
-    Gauss-Legendre: the reference that oz.ullman_cdf_many's fixed two-panel
-    rule is held to."""
+    Gauss-Legendre in u: the reference that oz.ullman_cdf_many's rule in r
+    is held to."""
     if x <= -1.0:
         return 0.0
     if x >= 1.0:

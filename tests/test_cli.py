@@ -59,7 +59,7 @@ def test_kac_monomial_basis():
     assert float(summary["expected_count"]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_kac_scaled_interval():
+def test_kac_scaled_interval(capsys):
     code, out = capture(["kac", "--weight", "freud:0.5:2", "--n", "60",
                          "--interval", "-0.5", "0.5", "--scaled"])
     assert code == 0
@@ -68,6 +68,9 @@ def test_kac_scaled_interval():
     code, _ = capture(["kac", "--weight", "freud:0.5:2", "--n", "10",
                        "--scaled", "--full-line"])
     assert code == 2
+    assert run(["kac", "--scaled", "--basis", "monomial", "--interval",
+                "-0.5", "0.5", "--n", "10"]) == 2
+    assert "--scaled applies to the orthonormal basis" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exp_form,plain", [
@@ -262,7 +265,7 @@ def test_option_strings_are_exactly_these():
     }
 
 
-def test_config_file_defaults(tmp_path):
+def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# radius run\nweight=freud:1:2\n\nn=8\n")
     assert read_config(cfg) == {"weight": "freud:1:2", "n": "8"}
@@ -277,6 +280,19 @@ def test_config_file_defaults(tmp_path):
     # flag spellings map to parameter names
     cfg.write_text("n-max = 6\n")
     assert read_config(cfg) == {"n_max": "6"}
+    # true sets a boolean flag, false leaves it unset
+    cfg.write_text("n=50\nfull_line=true\n")
+    assert capture(["--config", str(cfg), "kac"]) == capture(
+        ["kac", "--n", "50", "--full-line"])
+    cfg.write_text("n=50\nfull_line=false\n")
+    interval = ["--interval", "-1", "1"]
+    assert capture(["--config", str(cfg), "kac", *interval]) == capture(
+        ["kac", "--n", "50", *interval])
+    cfg.write_text("n 50\n")
+    assert run(["--config", str(cfg), "kac"]) == 2
+    assert "bad config line 'n 50', expected key=value" in capsys.readouterr().err
+    assert run(["--config"]) == 2
+    assert "--config needs a path" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_criterion(monkeypatch, capsys):

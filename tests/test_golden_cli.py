@@ -73,6 +73,17 @@ table moved in its last bits.  `simulate freud:1:2 --n 50 --dist
 rademacher`: a_50 moved one ulp, so imag_tol moved 1.3e-23, and ks_mean
 moved 6.9e-18.  Every per-trial line, count, mean, stderr and partition
 fraction held.
+
+Three digests were recaptured when the limit density and the limit CDF
+moved onto one fixed Gauss-Legendre rule in r, t = |x| cosh(S - r)
+(scaling._ullman_rule), from adaptive_gl per point and a fixed two-panel
+rule in u.  `density freud:1:4 --n 60`: 16 of the 21 `limit_density`
+values moved, by at most 3.3e-16, and each now depends on |s| alone;
+the column's largest error against 40-digit mpmath went from 3.3e-16 to
+1.7e-16.  The `s` and `sigma_star` columns held.  `simulate freud:0.5:2
+--n 50` and `simulate freud:1:2 --n 50 --dist rademacher`: ks_mean moved
+6.9e-18 each; every per-trial line, count, mean, stderr and partition
+fraction held.
 """
 
 import hashlib
@@ -88,7 +99,7 @@ GOLDEN = {
     ("mrs", "--weight", "freud:1:2", "--n", "8,100"):
         "a39fbebfae5c8fceffe2d6df25270a3b0610db7b10001e631b4de5782b3eb013",
     ("density", "--weight", "freud:1:4", "--n", "60", "--points", "21"):
-        "1feea460b9fa7055e96249edbc7eda7ecf43dc30c39ffba1b480b3a32b28e9f1",
+        "72a3b61e034064637e86304deccf63d37a4e82552ad2c39a0d49445b6153714e",
     ("recurrence", "--weight", "freud:0.5:2", "--n-max", "60"):
         "48332441e3264124e2e7082016003dd57f8f7b82c7d38217a2ecd044b864a875",
     ("kac", "--weight", "freud:0.5:2", "--n", "100", "--full-line"):
@@ -105,10 +116,10 @@ GOLDEN = {
     ("kac", "--n", "300", "--basis", "monomial", "--full-line"):
         "43ce17363edfebf3e969f6c2b1c84cce82e1b96da2362235c4f2a3deb27b5eda",
     ("simulate", "--weight", "freud:0.5:2", "--n", "50", "--trials", "20"):
-        "0b530cf44ef70b60d4ed06de0bc8cd1b2fb85cb9f449e4d8ce20db4618e78751",
+        "c2ab34b1747e32353688aa4c9dddeb432934cd57432dba398285608b1333e905",
     ("simulate", "--weight", "freud:1:2", "--n", "50", "--trials", "20",
      "--dist", "rademacher", "--partition=-1,-0.5,0,0.5,1"):
-        "e28f2eeb73f75be2c846d3d4fb47859d8c74cee803c670a0585fd04c4ef50e60",
+        "1b9bbd395dace59321a0fb94179f1b7d2248ce6938b2a1528633cfedb0705f7a",
 }
 
 

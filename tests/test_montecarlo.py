@@ -147,9 +147,12 @@ def test_both_routes_refuse_degraded_coefficients(hermite, hermite_table_60,
 
 
 def test_nonzero_constant_counts_no_zero(hermite, hermite_table_60):
+    # both routes: no real zero counted, and an empty comrade spectrum
     for c in ([2.5], [-1.0], [2.5, 0.0], [-1.0, 0.0, 0.0]):
         res = oz.count_real_zeros(hermite, hermite_table_60, c)
         assert res.count == res.zeros.size == 0
+        assert oz.comrade_matrix(hermite_table_60, c).shape == (0, 0)
+        assert oz.all_zeros(hermite_table_60, c).size == 0
 
 
 def test_zero_scale_invariance(hermite, hermite_table_60):
@@ -549,6 +552,8 @@ def test_mc_degree_beyond_table(freud14):
         oz.mc_expected_zeros(freud14, tab, 41, 2, d, seed=0)
     with pytest.raises(DomainError, match="degree"):
         oz.mc_expected_zeros(freud14, tab, 0, 2, d, seed=0)
+    with pytest.raises(DomainError, match="degree must be >= 1, got 0"):
+        oz.sample_coeffs(d, 0, 0, 0)
     s = oz.sample_coeffs(d, 0, 0, 41)
     with pytest.raises(DomainError):
         oz.count_real_zeros(freud14, tab, s)

@@ -77,5 +77,5 @@ def test_count_invariant_under_binary_scale(hermite, hermite_table_60, trial,
 def test_ullman_cdf_monotone_in_unit_interval(alpha, xs):
     F = oz.ullman_cdf_many(alpha, np.sort(xs))
     assert np.all((F >= 0.0) & (F <= 1.0))
-    # rounding jitter of the two-panel rule is about 1e-16
+    # rounding jitter of the limit-law rule is about 1e-16
     assert np.all(np.diff(F) >= -1e-15)

@@ -67,10 +67,10 @@ def test_gl_rule_matches_closed_forms(order):
 
 
 @pytest.mark.parametrize("order, weight_ulps",
-                         [(15, 2), (24, 2), (31, 2), (100, 1)])
+                         [(8, 2), (10, 2), (15, 2), (24, 2), (31, 2), (100, 1)])
 def test_gl_rule_matches_mpmath(order, weight_ulps):
-    # the orders of adaptive_gl, the Stieltjes mesh, the Gram audit and
-    # ullman_cdf_many
+    # the orders of the phi-rule, the limit-law rule, adaptive_gl, the
+    # Stieltjes mesh and the Gram audit, and one far above them all
     x, w = gl_rule(order)
     xm, wm = _mpmath_rule(order)
     pos = x > 0

@@ -280,12 +280,14 @@ def test_ullman_center_values():
 
 def _ullman_mp(mpmath, alpha, x):
     """(alpha/pi) sqrt(1-x^2) int_0^1 (x^2 + (1-x^2) u^2)^((alpha-2)/2) du at
-    the working precision, the u-integral split at d/100, d, 10d and
-    min(1/2, 100d) around its boundary layer, d = x/sqrt(1-x^2)."""
+    the working precision, the u-integral split at those of d/100, d, 10d
+    and min(1/2, 100d) below 1, around its boundary layer,
+    d = x/sqrt(1-x^2)."""
     a, y = mpmath.mpf(alpha), mpmath.mpf(x)
     om = 1 - y * y
     d = y / mpmath.sqrt(om)
-    cuts = [0, d / 100, d, 10 * d, min(mpmath.mpf(0.5), 100 * d), 1]
+    cuts = [0, *sorted(c for c in (d / 100, d, 10 * d, min(
+        mpmath.mpf(0.5), 100 * d)) if c < 1), 1]
     F = mpmath.quad(lambda u: (y * y + om * u * u) ** ((a - 2) / 2), cuts)
     return a / mpmath.pi * mpmath.sqrt(om) * F
 
@@ -301,6 +303,19 @@ def test_ullman_density_near_centre_meets_tol(alpha, x):
     assert abs(oz.ullman_density(alpha, x) - exact) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha, rel", [
+    *((a, 1e-12) for a in (1.01, 1.2, 1.5, 3.0, 8.0, 1000.0)), (1e5, 1e-10)])
+def test_ullman_density_matches_mpmath(alpha, rel):
+    # from the centre to the edge; at alpha = 1e5 t^(alpha-1) amplifies
+    # the rounding of t by alpha - 1
+    mpmath = pytest.importorskip("mpmath")
+    xs = (1e-12, 1e-6, 1e-3, 0.3, 0.9, 0.99999)
+    got = oz.ullman_density(alpha, xs)
+    with mpmath.workdps(40):
+        exact = [float(_ullman_mp(mpmath, alpha, x)) for x in xs]
+    assert np.max(np.abs(got / exact - 1.0)) <= rel
+
+
 def test_ullman_edges_and_domain():
     assert oz.ullman_density(3.0, 1.0) == 0.0
     assert oz.ullman_density(3.0, -1.0) == 0.0
@@ -308,6 +323,16 @@ def test_ullman_edges_and_domain():
         oz.ullman_density(math.inf, 1.0)
     with pytest.raises(DomainError):
         oz.ullman_density(3.0, 1.2)
+    with pytest.raises(DomainError):
+        oz.ullman_density(math.inf, 1.2)
+    # an array raises the scalar form's error at its worst point: |x| > 1
+    # (or NaN) before |x| = 1
+    for alpha, xs, error in ((3.0, [0.5, -1.2], DomainError),
+                             (math.inf, [[0.5], [-1.0]], SingularityError),
+                             (math.inf, [1.0, 1.2], DomainError),
+                             (3.0, [0.5, math.nan], DomainError)):
+        with pytest.raises(error):
+            oz.ullman_density(alpha, xs)
     with pytest.raises(DomainError):
         oz.ullman_density(0.8, 0.0)
     # the second route, sigma_n* of a Freud weight, takes finite exponents
@@ -368,7 +393,7 @@ def test_sigma_star_is_ullman_at_every_exponent(alpha):
     ss = (1e-9, 1e-6, 1e-3, 0.3, 0.9, 0.999)
     got = _freud_sigma_star(alpha, ss, tol=1e-10)
     for s, v in zip(ss, got):
-        assert abs(v - oz.ullman_density(alpha, s, tol=1e-13)) <= 1e-10
+        assert abs(v - oz.ullman_density(alpha, s)) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.5])
@@ -432,7 +457,7 @@ def _run_fresh(code: str) -> None:
 
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs ~0.3 s per process; the limit density runs on the
-    # package's own adaptive Gauss-Legendre rule, so nothing loads it
+    # package's own Gauss-Legendre rule, so nothing loads it
     _run_fresh(
         "import math, sys\n"
         "import orthozero as oz\n"
@@ -542,27 +567,40 @@ def test_half_mass_reference_matches_mpmath(alpha):
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 2.0, 8.0])
+def test_ullman_cdf_many_near_centre_to_rounding(alpha):
+    # below alpha = 2 the t-integrand has a boundary layer of width ~|x| at
+    # t = |x|, which the r-substitution of the rule takes away
+    b = np.geomspace(1e-12, 1e-3, 41)
+    xs = np.concatenate((-b[::-1], b))
+    ref = np.array([ullman_cdf(alpha, float(x)) for x in xs])
+    assert np.max(np.abs(oz.ullman_cdf_many(alpha, xs) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 2.0, 8.0])
 def test_ullman_cdf_many_off_centre_to_rounding(alpha):
-    # at |x| >= 1e-3 the two-panel rule resolves the integrand; nearer the
-    # centre its error peaks at |x| ~ 2.6e-6 (see ullman_cdf_many)
     b = np.geomspace(1e-3, 0.999999, 41)
     xs = np.concatenate((-b[::-1], b))
     ref = np.array([ullman_cdf(alpha, float(x)) for x in xs])
     assert np.max(np.abs(oz.ullman_cdf_many(alpha, xs) - ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("alpha", [2.0, math.inf], ids=["2", "inf"])
+@pytest.mark.parametrize("alpha", [1.2, 2.0, math.inf], ids=["1.2", "2", "inf"])
 def test_ullman_cdf_many_keeps_the_shape(alpha):
-    # a scalar and a 2-D array give the 1-D results bit for bit
-    xs = np.linspace(-1.2, 1.2, 24)
-    flat = oz.ullman_cdf_many(alpha, xs)
-    grid = oz.ullman_cdf_many(alpha, xs.reshape(4, 6))
-    assert grid.shape == (4, 6)
-    assert grid.ravel().tobytes() == flat.tobytes()
-    for x, want in zip(xs, flat):
-        got = oz.ullman_cdf_many(alpha, x)
-        assert np.shape(got) == ()
-        assert float(got).hex() == float(want).hex()
+    # a scalar and a 2-D array give the 1-D results bit for bit, for the
+    # CDF and the density (whose domain ends at |x| = 1)
+    for f, end in ((oz.ullman_cdf_many, 1.2), (oz.ullman_density, 0.999)):
+        xs = np.linspace(-end, end, 24)
+        flat = f(alpha, xs)
+        grid = f(alpha, xs.reshape(4, 6))
+        assert grid.shape == (4, 6)
+        assert grid.ravel().tobytes() == flat.tobytes()
+        # more points than the rule takes in one block
+        long = f(alpha, np.concatenate((np.full(3000, 0.5), xs)))
+        assert long[3000:].tobytes() == flat.tobytes()
+        for x, want in zip(xs, flat):
+            got = f(alpha, x)
+            assert np.shape(got) == ()
+            assert float(got).hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("name", ["equilibrium", "normalized", "kernel"])
